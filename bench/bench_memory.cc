@@ -1,4 +1,4 @@
-// Memory-footprint benchmark for the SoA cluster core (BENCH_memory.json):
+// Memory-footprint benchmark for the SoA cluster core:
 // resident bytes per machine at 1M machines, resident bytes per job slot at
 // 10M reserved slots, and — the arena contract — the number of heap
 // allocations performed by job creation after Reserve (must be zero for
@@ -13,7 +13,7 @@
 #include <new>
 #include <vector>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/machine.h"
 #include "cluster/pool.h"
 #include "common/time.h"
@@ -53,7 +53,7 @@ int main() {
   // --- 1M machines in pools of 40k (the paper's pool scale) ---------------
   constexpr std::size_t kMachines = 1'000'000;
   constexpr std::size_t kPerPool = 40'000;
-  JobTable dummy_jobs;
+  JobArena dummy_jobs;
   std::vector<std::unique_ptr<PhysicalPool>> pools;
   for (std::size_t base = 0; base < kMachines; base += kPerPool) {
     const PoolId pool_id(static_cast<PoolId::ValueType>(base / kPerPool));
@@ -72,7 +72,7 @@ int main() {
 
   // --- 10M job slots ------------------------------------------------------
   constexpr std::size_t kJobs = 10'000'000;
-  JobTable jobs;
+  JobArena jobs;
   jobs.Reserve(kJobs);
   g_count = true;
   for (std::size_t j = 0; j < kJobs; ++j) {

@@ -1,11 +1,11 @@
-// Durability benchmarks (BENCH_persist.json): WAL append throughput under
-// the three fsync regimes (never / batched / every-record), snapshot
-// write + load, SchedulerCore state export/import at 100k live jobs, and
-// the recovery-plan scan rate over a long WAL.
+// Durability benchmarks: WAL append throughput under the three fsync
+// regimes (never / batched / every-record), snapshot write + load,
+// SchedulerCore state export/import at 100k live jobs, and the
+// recovery-plan scan rate over a long WAL.
 //
 // The end-to-end numbers (daemon throughput with --data-dir on vs off, and
-// wall-clock recovery of a SIGKILLed daemon) come from netbatchd +
-// netbatch_loadgen runs recorded alongside these in BENCH_persist.json —
+// wall-clock recovery of a SIGKILLed daemon) come from perfbench's
+// serve-durable workload (python3 perfbench/run.py --workload serve-durable) —
 // this binary measures the layers in isolation so regressions can be
 // attributed.
 #include <chrono>

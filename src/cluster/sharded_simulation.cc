@@ -790,7 +790,7 @@ CounterSnapshot ShardedSimulation::MergedCounters() const {
 
 std::size_t ShardedSimulation::DomainCount() const { return domains_.size(); }
 
-const JobTable& ShardedSimulation::domain_jobs(std::size_t domain) const {
+const JobArena& ShardedSimulation::domain_jobs(std::size_t domain) const {
   return domains_[domain]->core().jobs();
 }
 

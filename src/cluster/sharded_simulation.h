@@ -42,7 +42,7 @@
 
 #include "cluster/config.h"
 #include "cluster/interfaces.h"
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/simulation.h"
 #include "common/counters.h"
 #include "workload/trace.h"
@@ -122,7 +122,7 @@ class ShardedSimulation final : public ClusterView {
   // Domain d's job table. Handed-off jobs leave stale reclaimed slots
   // behind; walk with the id-reverse-lookup filter (see
   // MetricsCollector::BuildReport's sharded overload).
-  const JobTable& domain_jobs(std::size_t domain) const;
+  const JobArena& domain_jobs(std::size_t domain) const;
   // Order-sensitive FNV-1a digest of every event domain d dispatched
   // (time, kind, job, pool, machine, stamp) — the determinism torture
   // test's fingerprint.

@@ -157,7 +157,7 @@ MetricsReport MetricsCollector::BuildReport(
   wait_cdf_ = EmpiricalCdf{};
 
   for (std::size_t d = 0; d < simulation.DomainCount(); ++d) {
-    const cluster::JobTable& jobs = simulation.domain_jobs(d);
+    const cluster::JobArena& jobs = simulation.domain_jobs(d);
     for (const cluster::Job& job : jobs) {
       // A job handed off to another domain leaves its erased slot parked
       // here with stale columns: its id either no longer resolves in this

@@ -26,7 +26,6 @@
 #include "metrics/report.h"            // IWYU pragma: export
 #include "metrics/report_json.h"       // IWYU pragma: export
 #include "runner/config_file.h"        // IWYU pragma: export
-#include "runner/experiment.h"         // IWYU pragma: export
 #include "runner/parse.h"              // IWYU pragma: export
 #include "runner/scenarios.h"          // IWYU pragma: export
 #include "runner/sweep.h"              // IWYU pragma: export

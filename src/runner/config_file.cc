@@ -57,11 +57,7 @@ std::int64_t ParseInt(std::string_view value) {
 
 LoadedExperiment LoadExperiment(std::istream& in) {
   LoadedExperiment loaded;
-  ExperimentConfig& config = loaded.config;
-
-  std::string scenario = "normal";
-  double scale = 0.25;
-  std::uint64_t seed = 42;
+  ExperimentSpec& spec = loaded.spec;
 
   std::string section;
   std::string line;
@@ -85,45 +81,44 @@ LoadedExperiment LoadExperiment(std::istream& in) {
 
     if (section == "experiment") {
       if (key == "scenario") {
-        scenario = value;
+        spec.scenario_name = value;
       } else if (key == "scale") {
-        scale = ParseDouble(value);
+        loaded.scale = ParseDouble(value);
       } else if (key == "seed") {
-        seed = static_cast<std::uint64_t>(ParseInt(value));
+        spec.seed = static_cast<std::uint64_t>(ParseInt(value));
       } else if (key == "scheduler") {
         NETBATCH_CHECK(value == "rr" || value == "util",
                        "scheduler must be rr or util");
-        config.scheduler = value == "rr"
-                               ? InitialSchedulerKind::kRoundRobin
-                               : InitialSchedulerKind::kUtilization;
+        spec.scheduler = value == "rr" ? InitialSchedulerKind::kRoundRobin
+                                       : InitialSchedulerKind::kUtilization;
       } else if (key == "staleness_min") {
-        config.scheduler_staleness = MinutesToTicks(ParseInt(value));
+        spec.scheduler_staleness = MinutesToTicks(ParseInt(value));
       } else if (key == "policy") {
         loaded.policy_name = value;
       } else if (key == "threshold_min") {
-        config.policy_options.wait_threshold = MinutesToTicks(ParseInt(value));
+        spec.policy_options.wait_threshold = MinutesToTicks(ParseInt(value));
       } else if (key == "overhead_min") {
-        config.sim_options.restart_overhead = MinutesToTicks(ParseInt(value));
+        spec.sim_options.restart_overhead = MinutesToTicks(ParseInt(value));
       } else if (key == "checkpoint_min") {
-        config.sim_options.checkpoint_interval =
+        spec.sim_options.checkpoint_interval =
             MinutesToTicks(ParseInt(value));
       } else if (key == "shards") {
-        config.sim_options.shards = static_cast<int>(ParseInt(value));
+        spec.sim_options.shards = static_cast<int>(ParseInt(value));
       } else {
         NETBATCH_CHECK(false, "unknown key in [experiment]: " + key);
       }
     } else {  // outages
       if (key == "mtbf_min") {
-        config.sim_options.outages.mtbf_minutes = ParseDouble(value);
+        spec.sim_options.outages.mtbf_minutes = ParseDouble(value);
       } else if (key == "mttr_min") {
-        config.sim_options.outages.mttr_minutes = ParseDouble(value);
+        spec.sim_options.outages.mttr_minutes = ParseDouble(value);
       } else {
         NETBATCH_CHECK(false, "unknown key in [outages]: " + key);
       }
     }
   }
 
-  config.scenario = ResolveScenario(scenario, scale, seed);
+  spec.scenario = ResolveScenario(spec.scenario_name, loaded.scale, spec.seed);
   return loaded;
 }
 

@@ -27,14 +27,20 @@
 #include <iosfwd>
 #include <string>
 
-#include "runner/experiment.h"
+#include "runner/sweep.h"
 
 namespace netbatch::runner {
 
-// The parsed experiment plus the policy name (which may be an extension
-// name like DupSusUtil that ExperimentConfig::policy cannot express).
+// The run an experiment file describes. `spec` carries the scenario name
+// and seed read from the file (defaults: normal, 42) and the scenario
+// resolved from them at `scale`, so a caller overriding only one of name,
+// scale or seed can re-resolve with the other two. The policy stays a name
+// (possibly an extension like DupSusUtil) for the caller to build.
 struct LoadedExperiment {
-  ExperimentConfig config;
+  LoadedExperiment() { spec.scenario_name = "normal"; }
+
+  ExperimentSpec spec;
+  double scale = 0.25;
   std::string policy_name = "NoRes";
 };
 

@@ -696,7 +696,7 @@ namespace {
 // must reuse slots at the same floors the live run did).
 constexpr std::uint32_t kCoreStateVersion = 2;
 
-void EncodeJobRecord(const cluster::JobTable& jobs, JobId id,
+void EncodeJobRecord(const cluster::JobArena& jobs, JobId id,
                      std::vector<std::uint8_t>& out,
                      std::vector<std::uint8_t>& scratch) {
   const Job job = jobs.at(id);

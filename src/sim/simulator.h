@@ -5,16 +5,9 @@
 // hands each to the EventDispatcher, which switches on Event::kind. The hot
 // path never allocates: an event is 48 bytes copied by value through a flat
 // heap.
-//
-// For code that genuinely needs an ad-hoc closure (tests, periodic
-// samplers), ScheduleAt/ScheduleAfter also accept a one-shot
-// std::function<void()>; those are parked in a slot-recycled side table and
-// never reach the dispatcher. The engine's per-event path does not use them.
 #pragma once
 
-#include <functional>
 #include <optional>
-#include <vector>
 
 #include "common/check.h"
 #include "common/time.h"
@@ -34,10 +27,6 @@ class EventDispatcher {
 
 class Simulator {
  public:
-  // Reserved Event::kind marking a one-shot callback event; handled by the
-  // Simulator itself and never passed to the dispatcher.
-  static constexpr std::uint16_t kCallbackKind = 0xffffu;
-
   Ticks Now() const { return now_; }
 
   // The dispatcher receives every typed event; must outlive the simulator.
@@ -52,13 +41,7 @@ class Simulator {
   // Schedules a typed event `delay` ticks from now (delay >= 0).
   EventSeq ScheduleAfter(Ticks delay, const Event& event);
 
-  // One-shot callback convenience (tests, samplers): `fn` fires once at the
-  // given time. The callback is stored in a recycled slot, so steady-state
-  // use does not grow memory.
-  EventSeq ScheduleAt(Ticks at, std::function<void()> fn);
-  EventSeq ScheduleAfter(Ticks delay, std::function<void()> fn);
-
-  void Cancel(EventSeq seq);
+  void Cancel(EventSeq seq) { queue_.Cancel(seq); }
 
   // Runs until the queue drains or the clock passes `until`
   // (events at exactly `until` still fire). Returns the final clock value.
@@ -89,18 +72,11 @@ class Simulator {
   }
 
  private:
-  std::uint32_t AcquireCallbackSlot(std::function<void()> fn);
-  void ReleaseCallbackSlot(std::uint32_t slot);
-
   Ticks now_ = 0;
   EventQueue queue_;
   EventDispatcher* dispatcher_ = nullptr;
   bool stop_requested_ = false;
   std::uint64_t fired_events_ = 0;
-
-  // One-shot callback side table; slots are recycled after fire/cancel.
-  std::vector<std::function<void()>> callbacks_;
-  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace netbatch::sim

@@ -16,8 +16,11 @@ LoadedExperiment Load(const std::string& text) {
 TEST(ConfigFileTest, DefaultsWhenEmpty) {
   const LoadedExperiment loaded = Load("");
   EXPECT_EQ(loaded.policy_name, "NoRes");
-  EXPECT_EQ(loaded.config.scheduler, InitialSchedulerKind::kRoundRobin);
-  EXPECT_EQ(loaded.config.scenario.cluster.pools.size(), 20u);
+  EXPECT_EQ(loaded.spec.scheduler, InitialSchedulerKind::kRoundRobin);
+  EXPECT_EQ(loaded.spec.scenario_name, "normal");
+  EXPECT_DOUBLE_EQ(loaded.scale, 0.25);
+  EXPECT_EQ(loaded.spec.seed, 42u);
+  EXPECT_EQ(loaded.spec.scenario.cluster.pools.size(), 20u);
 }
 
 TEST(ConfigFileTest, ParsesFullExperimentSection) {
@@ -36,16 +39,22 @@ checkpoint_min = 30
 shards        = 4
 )");
   EXPECT_EQ(loaded.policy_name, "ResSusWaitRand");
-  EXPECT_EQ(loaded.config.scheduler, InitialSchedulerKind::kUtilization);
-  EXPECT_EQ(loaded.config.scheduler_staleness, MinutesToTicks(15));
-  EXPECT_EQ(loaded.config.policy_options.wait_threshold, MinutesToTicks(45));
-  EXPECT_EQ(loaded.config.sim_options.restart_overhead, MinutesToTicks(5));
-  EXPECT_EQ(loaded.config.sim_options.checkpoint_interval,
+  EXPECT_EQ(loaded.spec.scenario_name, "high");
+  EXPECT_DOUBLE_EQ(loaded.scale, 0.5);
+  // The replication seed is the workload seed, so the generated trace is
+  // the one the scenario preset describes.
+  EXPECT_EQ(loaded.spec.seed, 7u);
+  EXPECT_EQ(loaded.spec.scenario.workload.seed, 7u);
+  EXPECT_EQ(loaded.spec.scheduler, InitialSchedulerKind::kUtilization);
+  EXPECT_EQ(loaded.spec.scheduler_staleness, MinutesToTicks(15));
+  EXPECT_EQ(loaded.spec.policy_options.wait_threshold, MinutesToTicks(45));
+  EXPECT_EQ(loaded.spec.sim_options.restart_overhead, MinutesToTicks(5));
+  EXPECT_EQ(loaded.spec.sim_options.checkpoint_interval,
             MinutesToTicks(30));
-  EXPECT_EQ(loaded.config.sim_options.shards, 4);
+  EXPECT_EQ(loaded.spec.sim_options.shards, 4);
   // scenario=high halves capacity relative to normal at the same scale.
   const auto normal_cores = NormalLoadScenario(0.5).cluster.TotalCores();
-  EXPECT_LT(loaded.config.scenario.cluster.TotalCores(), normal_cores);
+  EXPECT_LT(loaded.spec.scenario.cluster.TotalCores(), normal_cores);
 }
 
 TEST(ConfigFileTest, ParsesOutagesSection) {
@@ -56,8 +65,8 @@ scenario = normal
 mtbf_min = 10080
 mttr_min = 120
 )");
-  EXPECT_DOUBLE_EQ(loaded.config.sim_options.outages.mtbf_minutes, 10080.0);
-  EXPECT_DOUBLE_EQ(loaded.config.sim_options.outages.mttr_minutes, 120.0);
+  EXPECT_DOUBLE_EQ(loaded.spec.sim_options.outages.mtbf_minutes, 10080.0);
+  EXPECT_DOUBLE_EQ(loaded.spec.sim_options.outages.mttr_minutes, 120.0);
 }
 
 TEST(ConfigFileTest, UnknownKeyAborts) {

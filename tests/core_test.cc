@@ -2,7 +2,7 @@
 // policy factory.
 #include <gtest/gtest.h>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "core/policies.h"
 #include "core/pool_selector.h"
 
@@ -35,7 +35,7 @@ class FakeView final : public cluster::ClusterView {
 };
 
 cluster::Job MakeJob(std::vector<PoolId> candidates = {}) {
-  static cluster::JobTable table;
+  static cluster::JobArena table;
   static int next_id = 0;
   workload::JobSpec spec;
   spec.id = JobId(next_id++);

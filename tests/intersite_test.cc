@@ -2,6 +2,9 @@
 // the cross-site selector variant.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "cluster/simulation.h"
 #include "core/policies.h"
 #include "core/pool_selector.h"
@@ -99,6 +102,20 @@ TEST(TransferMatrixTest, MalformedMatrixAborts) {
                "one row per pool");
 }
 
+// Calls `check` with the live cluster view at the t = 5 min sample, in the
+// middle of the run.
+struct MidRunProbe final : SimulationObserver {
+  explicit MidRunProbe(std::function<void(const ClusterView&)> fn)
+      : check(std::move(fn)) {}
+  void OnSample(Ticks now, const ClusterView& view) override {
+    if (now != MinutesToTicks(5)) return;
+    check(view);
+    ++calls;
+  }
+  std::function<void(const ClusterView&)> check;
+  int calls = 0;
+};
+
 TEST(CrossSiteSelectorTest, EscapesCandidateRestriction) {
   // The job's candidate set is {0}; the in-site selector has nowhere to go,
   // the cross-site selector finds idle pool 1.
@@ -112,18 +129,20 @@ TEST(CrossSiteSelectorTest, EscapesCandidateRestriction) {
   sched::RoundRobinScheduler scheduler;
   core::NoResPolicy policy;
   NetBatchSimulation sim(ThreePoolCluster(), trace, scheduler, policy);
-  sim.simulator().ScheduleAt(MinutesToTicks(5), [&] {
-    JobTable probe_table;
+  MidRunProbe probe_at_5min([&](const ClusterView& view) {
+    JobArena probe_table;
     Job probe =
         probe_table.Create(Spec(99, 0, 600, 1, workload::kLowPriority, {PoolId(0)}));
     probe.OnSubmitted(0);
     probe.set_pool(PoolId(0));
-    EXPECT_FALSE(in_site.Select(probe, PoolId(0), sim).has_value());
-    const auto target = cross_site.Select(probe, PoolId(0), sim);
+    EXPECT_FALSE(in_site.Select(probe, PoolId(0), view).has_value());
+    const auto target = cross_site.Select(probe, PoolId(0), view);
     ASSERT_TRUE(target.has_value());
     EXPECT_NE(*target, PoolId(0));
   });
+  sim.AddObserver(&probe_at_5min);
   sim.Run();
+  EXPECT_EQ(probe_at_5min.calls, 1);
 }
 
 TEST(TransferMatrixBuilderTest, SiteStructureDrivesCosts) {

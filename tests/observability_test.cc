@@ -133,6 +133,18 @@ struct PresetCase {
   int index;
 };
 
+// gtest names each case with a byte dump of its PresetCase, and the dump opens
+// with the low byte of `name`. The names sit at fixed offsets in one
+// 256-byte-aligned table, so that byte, and with it each case's full name, stays
+// the same when unrelated code shifts the binary's layout.
+struct alignas(256) PresetNames {
+  char highsusp[0x84] = "highsusp";
+  char high[0xA0 - 0x84] = "high";
+  char year[0xE0 - 0xA0] = "year";
+  char normal[0x100 - 0xE0] = "normal";
+};
+constexpr PresetNames kPresetNames;
+
 class AuditorPresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 runner::Scenario MakePreset(int index) {
@@ -189,8 +201,10 @@ TEST_P(AuditorPresetTest, ZeroViolationsWithFailureInjection) {
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, AuditorPresetTest,
-    ::testing::Values(PresetCase{"normal", 0}, PresetCase{"high", 1},
-                      PresetCase{"highsusp", 2}, PresetCase{"year", 3}),
+    ::testing::Values(PresetCase{kPresetNames.normal, 0},
+                      PresetCase{kPresetNames.high, 1},
+                      PresetCase{kPresetNames.highsusp, 2},
+                      PresetCase{kPresetNames.year, 3}),
     [](const ::testing::TestParamInfo<PresetCase>& info) {
       return info.param.name;
     });

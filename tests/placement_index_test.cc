@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cluster/pool.h"
@@ -81,7 +83,7 @@ struct RefPlacement {
 };
 
 std::optional<RefPlacement> ReferencePlace(const PhysicalPool& pool,
-                                           const JobTable& jobs,
+                                           const JobArena& jobs,
                                            const workload::JobSpec& spec,
                                            workload::Priority priority,
                                            bool holds_memory) {
@@ -116,7 +118,7 @@ TEST_P(PlacementIndexFuzzTest, IncrementalIndexMatchesRebuildUnderChurn) {
   const auto [holds_memory, local_resume, seed] = GetParam();
   Rng rng(seed);
 
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 8; ++m) {
     machines.Add(static_cast<std::int32_t>(rng.UniformInt(2, 16)),
@@ -340,7 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The index must preserve first-fit-by-id, not switch to best-fit: a later
 // machine with a tighter fit must not steal the placement.
 TEST(PlacementOrderTest, FirstFitPrefersLowestMachineId) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(16, 65536, 1.0);
   machines.Add(4, 8192, 1.0);  // tight fit
@@ -356,7 +358,7 @@ TEST(PlacementOrderTest, FirstFitPrefersLowestMachineId) {
 // Preemption must target the first machine in id order that can yield, even
 // when a later machine could yield more cheaply.
 TEST(PlacementOrderTest, PreemptionPrefersLowestMachineId) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 3; ++m) {
     machines.Add(4, 16384, 1.0);
@@ -406,7 +408,7 @@ class RecordingPoolObserver final : public PoolObserver {
 };
 
 TEST(PoolObserverTest, PreemptionVictimsFireOnJobSuspended) {
-  JobTable jobs;
+  JobArena jobs;
   RecordingPoolObserver observer;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(4, 16384, 1.0);
@@ -498,7 +500,7 @@ TEST(SimulationObserverTest, PreemptionsReachObservers) {
 // ---------------------------------------------------------------------------
 
 TEST(BackfillGateTest, MemoryGateDoesNotSkipSchedulableWork) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(4, 4096, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs, false);
@@ -531,7 +533,7 @@ TEST(BackfillGateTest, MemoryGateDoesNotSkipSchedulableWork) {
 }
 
 TEST(BackfillGateTest, MemoryExhaustedMachineStartsNothing) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(64, 4096, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs, false);
@@ -561,6 +563,20 @@ TEST(BackfillGateTest, MemoryExhaustedMachineStartsNothing) {
 // ---------------------------------------------------------------------------
 
 enum class SelectorKind { kLowestUtilization, kRandom };
+
+// Calls `check` with the live cluster view at the t = 5 min sample, in the
+// middle of the run.
+struct MidRunProbe final : SimulationObserver {
+  explicit MidRunProbe(std::function<void(const ClusterView&)> fn)
+      : check(std::move(fn)) {}
+  void OnSample(Ticks now, const ClusterView& view) override {
+    if (now != MinutesToTicks(5)) return;
+    check(view);
+    ++calls;
+  }
+  std::function<void(const ClusterView&)> check;
+  int calls = 0;
+};
 
 class CrossSiteBothSelectorsTest
     : public ::testing::TestWithParam<SelectorKind> {};
@@ -595,21 +611,23 @@ TEST_P(CrossSiteBothSelectorsTest, CrossSiteEscapesCandidateRestriction) {
   sched::RoundRobinScheduler scheduler;
   core::NoResPolicy policy;
   NetBatchSimulation sim(config, trace, scheduler, policy);
-  sim.simulator().ScheduleAt(MinutesToTicks(5), [&] {
+  MidRunProbe probe_at_5min([&](const ClusterView& view) {
     workload::JobSpec probe_spec = Spec(99, 1, 1024);
     probe_spec.candidate_pools = {PoolId(0)};
-    JobTable probe_table;
+    JobArena probe_table;
     Job probe = probe_table.Create(probe_spec);
     probe.OnSubmitted(0);
     probe.set_pool(PoolId(0));
     // Restricted to its saturated home pool, the in-site selector has
     // nowhere to go; the cross-site variant must find an idle pool.
-    EXPECT_FALSE(in_site->Select(probe, PoolId(0), sim).has_value());
-    const auto target = cross_site->Select(probe, PoolId(0), sim);
+    EXPECT_FALSE(in_site->Select(probe, PoolId(0), view).has_value());
+    const auto target = cross_site->Select(probe, PoolId(0), view);
     ASSERT_TRUE(target.has_value());
     EXPECT_NE(*target, PoolId(0));
   });
+  sim.AddObserver(&probe_at_5min);
   sim.Run();
+  EXPECT_EQ(probe_at_5min.calls, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Selectors, CrossSiteBothSelectorsTest,

@@ -37,7 +37,7 @@ TEST_P(PoolStressTest, InvariantsSurviveRandomOperationSequences) {
   const auto [holds_memory, local_resume, seed] = GetParam();
   Rng rng(seed);
 
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (MachineId::ValueType m = 0; m < 6; ++m) {
     machines.Add(static_cast<std::int32_t>(rng.UniformInt(2, 16)),

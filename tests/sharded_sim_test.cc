@@ -160,7 +160,7 @@ RunResult RunChurn(const ClusterConfig& config, const workload::Trace& trace,
   for (std::size_t d = 0; d < sim.DomainCount(); ++d) {
     result.domain_hashes.push_back(sim.domain_event_hash(d));
     result.domain_fired.push_back(sim.domain_fired_events(d));
-    const JobTable& jobs = sim.domain_jobs(d);
+    const JobArena& jobs = sim.domain_jobs(d);
     for (const Job& job : jobs) {
       if (!jobs.Contains(job.id()) ||
           jobs.at(job.id()).slot() != job.slot()) {
@@ -346,7 +346,7 @@ TEST(ShardedSimTest, SinglePoolMatchesClassicEngineOutcomes) {
 
   ASSERT_EQ(sharded.completed_count(), classic.completed_count());
   ASSERT_EQ(sharded.rejected_count(), classic.rejected_count());
-  const JobTable& jobs = sharded.domain_jobs(0);
+  const JobArena& jobs = sharded.domain_jobs(0);
   for (const Job& job : jobs) {
     const Job& twin = classic.jobs().at(job.id());
     EXPECT_EQ(job.state(), twin.state());

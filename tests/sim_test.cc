@@ -1,12 +1,12 @@
 // Unit tests for the discrete-event core: typed event queue ordering and
-// cancellation, simulator clock/dispatch semantics, periodic sampling.
+// cancellation, simulator clock/dispatch semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/event_queue.h"
-#include "sim/sampler.h"
 #include "sim/simulator.h"
 
 namespace netbatch::sim {
@@ -175,11 +175,23 @@ TEST(EventQueueTest, ScheduleCancelChurnKeepsMemoryBounded) {
   EXPECT_EQ(popped, live.size());
 }
 
-// A dispatcher that records every typed event it receives.
+// A dispatcher that records every typed event it receives, then runs the
+// test's `on_event` hook (if any) so a test can act mid-run.
 class RecordingDispatcher : public EventDispatcher {
  public:
-  void Dispatch(const Event& event) override { events.push_back(event); }
+  void Dispatch(const Event& event) override {
+    events.push_back(event);
+    if (on_event) on_event(event);
+  }
+
+  std::vector<int> Kinds() const {
+    std::vector<int> kinds;
+    for (const Event& event : events) kinds.push_back(event.kind);
+    return kinds;
+  }
+
   std::vector<Event> events;
+  std::function<void(const Event&)> on_event;
 };
 
 TEST(SimulatorTest, TypedEventsReachDispatcherInOrder) {
@@ -190,55 +202,51 @@ TEST(SimulatorTest, TypedEventsReachDispatcherInOrder) {
   sim.ScheduleAt(10, Tagged(1));
   sim.ScheduleAfter(30, Tagged(3));
   sim.RunToCompletion();
-  ASSERT_EQ(dispatcher.events.size(), 3u);
-  EXPECT_EQ(dispatcher.events[0].kind, 1);
-  EXPECT_EQ(dispatcher.events[1].kind, 2);
-  EXPECT_EQ(dispatcher.events[2].kind, 3);
+  EXPECT_EQ(dispatcher.Kinds(), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.FiredEvents(), 3u);
 }
 
-// Typed events and one-shot callbacks at the same tick interleave purely by
-// schedule order — the dispatch route does not affect determinism.
-TEST(SimulatorTest, TypedAndCallbackEventsShareOneDeterministicOrder) {
+// Same-tick events fire in schedule order, including one scheduled for the
+// current tick from inside a dispatch: it queues behind the earlier ones.
+TEST(SimulatorTest, SameTickEventsFireInScheduleOrder) {
   Simulator sim;
   RecordingDispatcher dispatcher;
   sim.set_dispatcher(&dispatcher);
-  std::vector<int> order;
+  dispatcher.on_event = [&](const Event& event) {
+    if (event.kind == 3) sim.ScheduleAfter(0, Tagged(4));
+  };
+  sim.ScheduleAt(5, Tagged(3));
   sim.ScheduleAt(5, Tagged(1));
-  sim.ScheduleAt(5, [&] { order.push_back(-1); });
   sim.ScheduleAt(5, Tagged(2));
-  sim.ScheduleAt(5, [&] {
-    order.push_back(static_cast<int>(dispatcher.events.size()));
-  });
   sim.RunToCompletion();
-  // Callback #1 fired after typed kind 1 (one typed event seen), callback #2
-  // after both typed events.
-  EXPECT_EQ(order, (std::vector<int>{-1, 2}));
-  ASSERT_EQ(dispatcher.events.size(), 2u);
-  EXPECT_EQ(dispatcher.events[0].kind, 1);
-  EXPECT_EQ(dispatcher.events[1].kind, 2);
+  EXPECT_EQ(dispatcher.Kinds(), (std::vector<int>{3, 1, 2, 4}));
+  EXPECT_EQ(sim.Now(), 5);
 }
 
-TEST(SimulatorTest, CancelledCallbackSlotIsRecycled) {
+TEST(SimulatorTest, CancelledEventIsNeverDispatched) {
   Simulator sim;
-  int fired = 0;
-  const EventSeq seq = sim.ScheduleAt(10, [&] { ++fired; });
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
+  const EventSeq seq = sim.ScheduleAt(10, Tagged(1));
+  sim.ScheduleAt(20, Tagged(2));
   sim.Cancel(seq);
-  for (int i = 0; i < 1000; ++i) {
-    sim.ScheduleAt(20 + i, [&] { ++fired; });
-  }
+  EXPECT_EQ(sim.PendingEvents(), 1u);
   sim.RunToCompletion();
-  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(dispatcher.Kinds(), (std::vector<int>{2}));
+  EXPECT_EQ(sim.FiredEvents(), 1u);
 }
 
 TEST(SimulatorTest, ClockAdvancesMonotonically) {
   Simulator sim;
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
   std::vector<Ticks> times;
-  sim.ScheduleAt(50, [&] { times.push_back(sim.Now()); });
-  sim.ScheduleAt(10, [&] {
+  dispatcher.on_event = [&](const Event& event) {
     times.push_back(sim.Now());
-    sim.ScheduleAfter(15, [&] { times.push_back(sim.Now()); });
-  });
+    if (event.kind == 1) sim.ScheduleAfter(15, Tagged(3));
+  };
+  sim.ScheduleAt(50, Tagged(2));
+  sim.ScheduleAt(10, Tagged(1));
   sim.RunToCompletion();
   EXPECT_EQ(times, (std::vector<Ticks>{10, 25, 50}));
   EXPECT_EQ(sim.Now(), 50);
@@ -247,110 +255,41 @@ TEST(SimulatorTest, ClockAdvancesMonotonically) {
 
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(10, [&] { ++fired; });
-  sim.ScheduleAt(20, [&] { ++fired; });
-  sim.ScheduleAt(21, [&] { ++fired; });
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
+  sim.ScheduleAt(10, Tagged(1));
+  sim.ScheduleAt(20, Tagged(2));
+  sim.ScheduleAt(21, Tagged(3));
   sim.RunUntil(20);  // events at exactly the boundary still fire
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(dispatcher.events.size(), 2u);
   EXPECT_EQ(sim.PendingEvents(), 1u);
   sim.RunToCompletion();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(dispatcher.Kinds(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SimulatorTest, RequestStopHaltsLoop) {
   Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] {
-    ++fired;
-    sim.RequestStop();
-  });
-  sim.ScheduleAt(2, [&] { ++fired; });
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
+  dispatcher.on_event = [&](const Event&) { sim.RequestStop(); };
+  sim.ScheduleAt(1, Tagged(1));
+  sim.ScheduleAt(2, Tagged(2));
   sim.RunToCompletion();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(dispatcher.Kinds(), (std::vector<int>{1}));
   EXPECT_EQ(sim.PendingEvents(), 1u);
 }
 
 TEST(SimulatorTest, EventsScheduledDuringRunAreProcessed) {
   Simulator sim;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) sim.ScheduleAfter(1, chain);
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
+  dispatcher.on_event = [&](const Event&) {
+    if (dispatcher.events.size() < 5) sim.ScheduleAfter(1, Tagged(1));
   };
-  sim.ScheduleAt(0, chain);
+  sim.ScheduleAt(0, Tagged(1));
   sim.RunToCompletion();
-  EXPECT_EQ(depth, 5);
+  EXPECT_EQ(dispatcher.events.size(), 5u);
   EXPECT_EQ(sim.Now(), 4);
-}
-
-TEST(SamplerTest, FiresOnFixedPeriod) {
-  Simulator sim;
-  std::vector<Ticks> samples;
-  PeriodicSampler sampler(sim, 0, 60, [&](Ticks now) { samples.push_back(now); });
-  sim.ScheduleAt(250, [] {});
-  sim.RunUntil(250);
-  ASSERT_GE(samples.size(), 5u);
-  EXPECT_EQ(samples[0], 0);
-  EXPECT_EQ(samples[1], 60);
-  EXPECT_EQ(samples[4], 240);
-  EXPECT_EQ(sampler.samples_taken(),
-            static_cast<std::int64_t>(samples.size()));
-}
-
-TEST(SamplerTest, StopWhenEndsSampling) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 0, 10, [&](Ticks) { ++samples; });
-  sampler.StopWhen([](Ticks now) { return now >= 50; });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 6);  // t = 0, 10, 20, 30, 40, 50
-}
-
-TEST(SamplerTest, ManualStopCancelsPendingSample) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 5, 10, [&](Ticks) { ++samples; });
-  sim.ScheduleAt(17, [&] { sampler.Stop(); });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 2);  // t = 5, 15; the t = 25 sample was cancelled
-}
-
-TEST(SamplerTest, StopIsIdempotent) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 5, 10, [&](Ticks) { ++samples; });
-  sim.ScheduleAt(7, [&] {
-    sampler.Stop();
-    sampler.Stop();  // the second stop must be a no-op, not a double cancel
-  });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 1);
-}
-
-TEST(SamplerTest, StopAfterPredicateStopLeavesRecycledEventsAlone) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, 0, 10, [](Ticks) {});
-  sampler.StopWhen([](Ticks) { return true; });  // stops at the t = 0 fire
-  bool fired = false;
-  sim.ScheduleAt(5, [&] {
-    // The sampler stopped itself at t = 0 and its event slot is free; the
-    // t = 10 event below may recycle it. A redundant Stop() must not cancel
-    // whatever now occupies that slot — the exact stale-handle bug this
-    // suite pins down.
-    sim.ScheduleAt(10, [&] { fired = true; });
-    sampler.Stop();
-  });
-  sim.RunToCompletion();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(sampler.samples_taken(), 1);
-}
-
-TEST(SamplerDeathTest, StopWhenOnAStoppedSamplerIsAProgrammingError) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, 5, 10, [](Ticks) {});
-  sampler.Stop();
-  EXPECT_DEATH(sampler.StopWhen([](Ticks) { return true; }),
-               "StopWhen on a stopped PeriodicSampler");
 }
 
 }  // namespace

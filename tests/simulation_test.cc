@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "cluster/simulation.h"
 #include "core/policies.h"
@@ -358,6 +359,50 @@ TEST(SimulationTest, SamplingCanBeDisabled) {
   sim.Run();
   EXPECT_EQ(observer.samples, 0);
   EXPECT_EQ(observer.completed, 1);
+}
+
+// The engine's periodic sampler is the typed kSampleTick: ASCA's "sample
+// each minute" (§3.1), at SimulationOptions::sample_period.
+struct SampleTimes final : SimulationObserver {
+  std::vector<Ticks> times;
+  void OnSample(Ticks now, const ClusterView&) override {
+    times.push_back(now);
+  }
+};
+
+TEST(SamplerTest, FiresOnFixedPeriod) {
+  const workload::Trace trace({Spec(0, 0, MinutesToTicks(45))});
+  sched::RoundRobinScheduler scheduler;
+  NoResPolicy policy;
+  SimulationOptions options;
+  options.sample_period = MinutesToTicks(10);
+  NetBatchSimulation sim(SmallCluster(1, 1), trace, scheduler, policy,
+                         options);
+  SampleTimes samples;
+  sim.AddObserver(&samples);
+  sim.Run();
+  EXPECT_EQ(samples.times,
+            (std::vector<Ticks>{0, MinutesToTicks(10), MinutesToTicks(20),
+                                MinutesToTicks(30), MinutesToTicks(40)}));
+}
+
+// Sampling ends with the last job: a completion that lands on a sample
+// tick stops the run before that sample fires.
+TEST(SamplerTest, StopWhenEndsSampling) {
+  const workload::Trace trace({Spec(0, 0, MinutesToTicks(40))});
+  sched::RoundRobinScheduler scheduler;
+  NoResPolicy policy;
+  SimulationOptions options;
+  options.sample_period = MinutesToTicks(10);
+  NetBatchSimulation sim(SmallCluster(1, 1), trace, scheduler, policy,
+                         options);
+  SampleTimes samples;
+  sim.AddObserver(&samples);
+  sim.Run();
+  EXPECT_EQ(samples.times,
+            (std::vector<Ticks>{0, MinutesToTicks(10), MinutesToTicks(20),
+                                MinutesToTicks(30)}));
+  EXPECT_EQ(sim.simulator().Now(), MinutesToTicks(40));
 }
 
 TEST(SimulationTest, TraceReferencingUnknownPoolAborts) {

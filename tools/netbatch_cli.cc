@@ -147,29 +147,27 @@ void PrintResult(const runner::ExperimentResult& result, bool print_cdf) {
   }
 }
 
-// Applies the sweep-relevant sim/policy flags onto a builder-produced spec.
-struct SharedKnobs {
-  Ticks staleness = 0;
-  Ticks threshold = MinutesToTicks(30);
-  cluster::SimulationOptions sim_options;
-};
-
-SharedKnobs ReadSharedKnobs(const Flags& flags) {
-  SharedKnobs knobs;
-  knobs.staleness = MinutesToTicks(flags.GetInt("staleness", 0));
-  knobs.threshold = MinutesToTicks(flags.GetInt("threshold", 30));
-  knobs.sim_options.restart_overhead =
-      MinutesToTicks(flags.GetInt("overhead", 0));
-  knobs.sim_options.checkpoint_interval =
-      MinutesToTicks(flags.GetInt("checkpoint", 0));
-  knobs.sim_options.outages.mtbf_minutes =
-      static_cast<double>(flags.GetInt("mtbf", 0));
-  knobs.sim_options.outages.mttr_minutes =
-      static_cast<double>(flags.GetInt("mttr", 240));
-  knobs.sim_options.audit_period =
-      MinutesToTicks(flags.GetInt("audit-every", 0));
-  knobs.sim_options.shards = static_cast<int>(flags.GetInt("shards", 0));
-  return knobs;
+// Overrides `spec` with each sim/policy knob flag given; a flag left out
+// keeps the spec's value. Shared by single runs and sweeps.
+void ApplyKnobFlags(const Flags& flags, runner::ExperimentSpec& spec) {
+  const auto minutes = [&flags](const char* flag, Ticks& field) {
+    if (flags.Has(flag)) field = MinutesToTicks(flags.GetInt(flag, 0));
+  };
+  minutes("staleness", spec.scheduler_staleness);
+  minutes("threshold", spec.policy_options.wait_threshold);
+  minutes("overhead", spec.sim_options.restart_overhead);
+  minutes("checkpoint", spec.sim_options.checkpoint_interval);
+  minutes("audit-every", spec.sim_options.audit_period);
+  cluster::OutageModel& outages = spec.sim_options.outages;
+  if (flags.Has("mtbf")) {
+    outages.mtbf_minutes = static_cast<double>(flags.GetInt("mtbf", 0));
+  }
+  if (flags.Has("mttr")) {
+    outages.mttr_minutes = static_cast<double>(flags.GetInt("mttr", 0));
+  }
+  if (flags.Has("shards")) {
+    spec.sim_options.shards = static_cast<int>(flags.GetInt("shards", 0));
+  }
 }
 
 void PrintProfileTable(const runner::SweepResult& sweep) {
@@ -279,7 +277,8 @@ int RunSweepCommand(const Flags& flags) {
       SplitList(flags.GetString("policies", default_policies));
   NETBATCH_CHECK(!policy_names.empty(), "--policies list is empty");
 
-  const SharedKnobs knobs = ReadSharedKnobs(flags);
+  runner::ExperimentSpec knobs;
+  ApplyKnobFlags(flags, knobs);
   const auto jobs = static_cast<unsigned>(flags.GetInt("jobs", 0));
   const bool profile = flags.GetBool("profile", false);
   const std::string csv_out = flags.GetString("csv-out", "");
@@ -299,8 +298,8 @@ int RunSweepCommand(const Flags& flags) {
       for (const std::uint64_t seed : seeds) {
         runner::SpecBuilder builder;
         builder.Scenario(scenario_name, scenario)
-            .Scheduler(scheduler, knobs.staleness)
-            .WaitThreshold(knobs.threshold)
+            .Scheduler(scheduler, knobs.scheduler_staleness)
+            .WaitThreshold(knobs.policy_options.wait_threshold)
             .SimOptions(knobs.sim_options)
             .Seed(seed);
         if (policy_name == "DupSusUtil") {
@@ -354,67 +353,32 @@ int RunSweepCommand(const Flags& flags) {
   return 0;
 }
 
-// Default mode: one experiment driven entirely by flags.
+// Default mode: one experiment from flags and an optional INI file.
 int RunSingleCommand(const Flags& flags) {
-  // Base configuration: an INI file when given, defaults otherwise;
-  // individual flags override either.
-  runner::ExperimentConfig config;
-  std::string config_policy = "NoRes";
-  const bool from_file = flags.Has("config");
-  if (from_file) {
-    runner::LoadedExperiment loaded =
-        runner::LoadExperimentFile(flags.GetString("config", ""));
-    config = std::move(loaded.config);
-    config_policy = loaded.policy_name;
+  // Base run: an INI file when given, defaults otherwise; each flag given
+  // overrides its own field and nothing else.
+  runner::LoadedExperiment loaded;
+  if (flags.Has("config")) {
+    loaded = runner::LoadExperimentFile(flags.GetString("config", ""));
   }
-  const double scale = flags.GetDouble("scale", 0.25);
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  std::string scenario_name = flags.GetString("scenario", "normal");
-  if (!from_file || flags.Has("scenario") || flags.Has("scale") ||
-      flags.Has("seed")) {
-    config.scenario = runner::ResolveScenario(scenario_name, scale, seed);
-  }
-
-  if (!from_file || flags.Has("scheduler")) {
-    const std::string scheduler = flags.GetString("scheduler", "rr");
-    const auto kind = runner::ParseInitialSchedulerKind(scheduler);
+  runner::ExperimentSpec& base_spec = loaded.spec;
+  base_spec.scenario_name =
+      flags.GetString("scenario", base_spec.scenario_name);
+  base_spec.seed = static_cast<std::uint64_t>(
+      flags.GetInt("seed", static_cast<std::int64_t>(base_spec.seed)));
+  base_spec.scenario =
+      runner::ResolveScenario(base_spec.scenario_name,
+                              flags.GetDouble("scale", loaded.scale),
+                              base_spec.seed);
+  if (flags.Has("scheduler")) {
+    const auto kind =
+        runner::ParseInitialSchedulerKind(flags.GetString("scheduler", ""));
     NETBATCH_CHECK(kind.has_value(), "--scheduler must be rr or util");
-    config.scheduler = *kind;
+    base_spec.scheduler = *kind;
   }
-  if (!from_file || flags.Has("staleness")) {
-    config.scheduler_staleness = MinutesToTicks(flags.GetInt("staleness", 0));
-  }
-  if (!from_file || flags.Has("threshold")) {
-    config.policy_options.wait_threshold =
-        MinutesToTicks(flags.GetInt("threshold", 30));
-  }
-  if (!from_file || flags.Has("overhead")) {
-    config.sim_options.restart_overhead =
-        MinutesToTicks(flags.GetInt("overhead", 0));
-  }
-  if (!from_file || flags.Has("checkpoint")) {
-    config.sim_options.checkpoint_interval =
-        MinutesToTicks(flags.GetInt("checkpoint", 0));
-  }
-  if (!from_file || flags.Has("mtbf")) {
-    config.sim_options.outages.mtbf_minutes =
-        static_cast<double>(flags.GetInt("mtbf", 0));
-  }
-  if (!from_file || flags.Has("mttr")) {
-    config.sim_options.outages.mttr_minutes =
-        static_cast<double>(flags.GetInt("mttr", 240));
-  }
-  if (!from_file || flags.Has("audit-every")) {
-    config.sim_options.audit_period =
-        MinutesToTicks(flags.GetInt("audit-every", 0));
-  }
-  if (!from_file || flags.Has("shards")) {
-    config.sim_options.shards = static_cast<int>(flags.GetInt("shards", 0));
-  }
+  ApplyKnobFlags(flags, base_spec);
 
   // Trace: replay or generate (optionally persisting).
-  const runner::ExperimentSpec base_spec =
-      runner::SpecFromConfig(config, scenario_name);
   workload::Trace trace;
   if (flags.Has("trace-in")) {
     trace = workload::ReadTraceFile(flags.GetString("trace-in", ""));
@@ -427,7 +391,8 @@ int RunSingleCommand(const Flags& flags) {
                 flags.GetString("workload-out", "").c_str());
   }
 
-  const std::string policy_name = flags.GetString("policy", config_policy);
+  const std::string policy_name =
+      flags.GetString("policy", loaded.policy_name);
   const bool compare = flags.GetBool("compare", false);
   const bool print_cdf = flags.GetBool("cdf", false);
   const bool profile = flags.GetBool("profile", false);
@@ -480,11 +445,11 @@ int RunSingleCommand(const Flags& flags) {
   runner::ExperimentSpec spec = base_spec;
   if (policy_name == "DupSusUtil") {
     runner::SpecBuilder builder;
-    builder.Scenario(scenario_name, config.scenario)
+    builder.Scenario(base_spec.scenario_name, base_spec.scenario)
         .Seed(base_spec.seed)
-        .Scheduler(config.scheduler, config.scheduler_staleness)
-        .WaitThreshold(config.policy_options.wait_threshold)
-        .SimOptions(config.sim_options)
+        .Scheduler(base_spec.scheduler, base_spec.scheduler_staleness)
+        .WaitThreshold(base_spec.policy_options.wait_threshold)
+        .SimOptions(base_spec.sim_options)
         .Duplication();
     spec = builder.Build();
   } else {

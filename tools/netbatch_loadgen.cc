@@ -20,7 +20,7 @@
 //   netbatch_loadgen --socket=/tmp/nb.sock --scenario=normal --speed=1000
 //       --sessions=4
 //
-//   # Throughput firehose for BENCH_serve against a 4-shard daemon:
+//   # Throughput firehose against a 4-shard daemon:
 //   netbatch_loadgen --tcp=127.0.0.1:7077 --scenario=bigpool --speed=0
 //       --sessions=8 --window=64 --json-out=bench.json
 //
