@@ -1,7 +1,6 @@
 #include "common/counters.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace netbatch {
 
@@ -12,6 +11,18 @@ GaugeMergePolicy GaugeMergePolicyFor(std::string_view name) {
   if (name == "daemon.recovery_ms") return GaugeMergePolicy::kMax;
   if (name == "daemon.latency_map_entries") return GaugeMergePolicy::kMax;
   return GaugeMergePolicy::kSum;
+}
+
+std::string RenderCounterSnapshot(const CounterSnapshot& snap) {
+  std::string out;
+  for (const auto& [name, value] : snap.counters) {
+    out += name + "=" + std::to_string(value) + "\n";
+  }
+  for (const auto& [name, value, max] : snap.gauges) {
+    out += name + "=" + std::to_string(value) +
+           " (max=" + std::to_string(max) + ")\n";
+  }
+  return out;
 }
 
 void MergeCounterSnapshots(CounterSnapshot& into, const CounterSnapshot& from) {
@@ -84,15 +95,7 @@ CounterSnapshot CounterRegistry::TakeSnapshot() const {
 }
 
 std::string CounterRegistry::Render() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    out << counter_names_[i] << "=" << counters_[i].value() << "\n";
-  }
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    out << gauge_names_[i] << "=" << gauges_[i].value()
-        << " (max=" << gauges_[i].max() << ")\n";
-  }
-  return out.str();
+  return RenderCounterSnapshot(TakeSnapshot());
 }
 
 }  // namespace netbatch

@@ -71,6 +71,11 @@ GaugeMergePolicy GaugeMergePolicyFor(std::string_view name);
 // are appended, preserving first-seen order.
 void MergeCounterSnapshots(CounterSnapshot& into, const CounterSnapshot& from);
 
+// One "name=value" line per counter, then one "name=value (max=M)" line per
+// gauge, in snapshot order. netbatchd's kStats text and its parsers rely on
+// this layout.
+std::string RenderCounterSnapshot(const CounterSnapshot& snap);
+
 class CounterRegistry {
  public:
   // Returns the counter/gauge with `name`, creating it on first use.
@@ -84,7 +89,7 @@ class CounterRegistry {
 
   CounterSnapshot TakeSnapshot() const;
 
-  // One "name=value" per line, counters first, in registration order.
+  // RenderCounterSnapshot(TakeSnapshot()).
   std::string Render() const;
 
  private:

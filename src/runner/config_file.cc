@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -55,7 +56,8 @@ std::int64_t ParseInt(std::string_view value) {
 
 }  // namespace
 
-LoadedExperiment LoadExperiment(std::istream& in) {
+LoadedExperiment LoadExperiment(std::istream& in,
+                                const std::string& base_dir) {
   LoadedExperiment loaded;
   ExperimentSpec& spec = loaded.spec;
 
@@ -81,7 +83,11 @@ LoadedExperiment LoadExperiment(std::istream& in) {
 
     if (section == "experiment") {
       if (key == "scenario") {
-        spec.scenario_name = value;
+        spec.scenario_name =
+            IsBuiltinScenario(value) || base_dir.empty() ||
+                    std::filesystem::path(value).is_absolute()
+                ? value
+                : (std::filesystem::path(base_dir) / value).string();
       } else if (key == "scale") {
         loaded.scale = ParseDouble(value);
       } else if (key == "seed") {
@@ -125,7 +131,7 @@ LoadedExperiment LoadExperiment(std::istream& in) {
 LoadedExperiment LoadExperimentFile(const std::string& path) {
   std::ifstream in(path);
   NETBATCH_CHECK(static_cast<bool>(in), "cannot open config file: " + path);
-  return LoadExperiment(in);
+  return LoadExperiment(in, std::filesystem::path(path).parent_path().string());
 }
 
 // ---- workload presets ------------------------------------------------------

@@ -44,7 +44,11 @@ struct LoadedExperiment {
   std::string policy_name = "NoRes";
 };
 
-LoadedExperiment LoadExperiment(std::istream& in);
+// A relative workload-preset path in `scenario =` resolves against
+// `base_dir` — for a file, the directory the file is in — so an experiment
+// INI and the preset beside it load from any working directory.
+LoadedExperiment LoadExperiment(std::istream& in,
+                                const std::string& base_dir = "");
 LoadedExperiment LoadExperimentFile(const std::string& path);
 
 // ---- workload presets ------------------------------------------------------

@@ -38,13 +38,33 @@ std::optional<InitialSchedulerKind> ParseInitialSchedulerKind(
   return std::nullopt;
 }
 
+namespace {
+
+struct BuiltinScenario {
+  std::string_view name;
+  Scenario (*make)(double scale, std::uint64_t seed);
+};
+
+constexpr BuiltinScenario kBuiltinScenarios[] = {
+    {"normal", NormalLoadScenario},    {"high", HighLoadScenario},
+    {"highsusp", HighSuspensionScenario}, {"year", YearLongScenario},
+    {"bigpool", LargePoolScenario},
+};
+
+}  // namespace
+
+bool IsBuiltinScenario(std::string_view name) {
+  for (const BuiltinScenario& builtin : kBuiltinScenarios) {
+    if (name == builtin.name) return true;
+  }
+  return false;
+}
+
 Scenario ResolveScenario(const std::string& name, double scale,
                          std::uint64_t seed) {
-  if (name == "normal") return NormalLoadScenario(scale, seed);
-  if (name == "high") return HighLoadScenario(scale, seed);
-  if (name == "highsusp") return HighSuspensionScenario(scale, seed);
-  if (name == "year") return YearLongScenario(scale, seed);
-  if (name == "bigpool") return LargePoolScenario(scale, seed);
+  for (const BuiltinScenario& builtin : kBuiltinScenarios) {
+    if (name == builtin.name) return builtin.make(scale, seed);
+  }
   std::ifstream probe(name);
   NETBATCH_CHECK(static_cast<bool>(probe),
                  "unknown scenario '" + name +

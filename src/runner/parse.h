@@ -31,6 +31,10 @@ std::optional<InitialSchedulerKind> ParseInitialSchedulerKind(
 // resolving "what did the user name?" need only this header.
 using core::ParsePolicyKind;
 
+// True for the paper scenarios' names: normal | high | highsusp | year |
+// bigpool. Any other scenario name is a workload preset file path.
+bool IsBuiltinScenario(std::string_view name);
+
 // Maps a scenario name to its definition. Builtin names (normal | high |
 // highsusp | year | bigpool) resolve to the paper scenarios; any other
 // value must be the path of a workload preset file (calibration output),

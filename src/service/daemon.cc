@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <latch>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -102,7 +103,15 @@ Daemon::~Daemon() {
 void Daemon::Run(const std::atomic<bool>& stop) {
   const std::uint64_t origin_ns = WallNanos();
   for (auto& shard : shards_) shard->set_clock_origin(origin_ns);
-  for (auto& shard : shards_) shard->Start();
+  // Shards recover in parallel; nothing is accepted until all have, so no
+  // request can reach a shard whose peers' jobs are not yet in the
+  // directory. The listeners are already bound: early clients just wait in
+  // the accept backlog. An in-memory daemon has nothing to recover, so it
+  // does not wait for its shard threads to come up. The latch outlives
+  // every count_down: the shards are joined before Run returns.
+  std::latch recovered(static_cast<std::ptrdiff_t>(shards_.size()));
+  for (auto& shard : shards_) shard->Start(recovered);
+  if (!options_.data_dir.empty()) recovered.wait();
 
   net::Poller poller;
   if (unix_listener_ >= 0) poller.Add(unix_listener_, net::kPollIn, kUnixToken);

@@ -7,7 +7,7 @@
 // connections are dealt round-robin, and requests whose target pool or job
 // lives elsewhere hop shards over lock-free mailboxes. With --threads=1 the
 // whole arrangement degenerates to the original single-threaded daemon —
-// no forwarding, no gathers, identical decisions.
+// no forwarding, gathers with no peers, identical decisions.
 //
 // Time: one simulated tick is one trace second. `time_scale` maps ticks to
 // wall time as ticks-per-wall-second, so 1000 replays a trace at 1000x real
@@ -86,7 +86,8 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   // Serves until `*stop` turns true (typically flipped by a SIGTERM
-  // handler). Closes every session and unlinks the socket on exit. A kDrain
+  // handler). With a data dir, accepts nothing until every shard has
+  // recovered. Closes every session and unlinks the socket on exit. A kDrain
   // request closes the listeners early; existing sessions keep being served
   // until stop.
   void Run(const std::atomic<bool>& stop);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -33,24 +34,6 @@ bool IsTerminal(cluster::JobState state) {
          state == cluster::JobState::kKilled;
 }
 
-// WAL record types. Every payload leads with the I64 tick the mutation was
-// applied at, so replay re-runs the exact decision sequence and recovery
-// can fast-forward the clock before touching the core.
-enum class WalKind : std::uint16_t {
-  kSubmit = 1,     // now, JobSpec (candidate pools already shard-local)
-  kJobOp = 2,      // now, u16 opcode, u64 job id — logged only if it mutated
-  kMachineOp = 3,  // now, u16 opcode, u32 local pool, u32 machine
-  kTimer = 4,      // now, u16 kind, u64 job, u64 stamp, u32 local pool
-  kDrain = 5,      // now
-  // now, u32 count, count * u64 job id. Reclamation reuses job-table slots
-  // (with a generation floor), so WHEN a terminal job left the table is as
-  // much a part of the decision sequence as the ops themselves: replay must
-  // erase the same ids at the same point or later submits land in different
-  // slots/generations than the live run (and an acked re-submit of a
-  // reclaimed id would bounce off its still-present predecessor).
-  kReclaim = 6,
-};
-
 // Ids per kReclaim record; a pathological round reclaiming more than this
 // simply logs several records back to back (erase order is preserved).
 constexpr std::size_t kReclaimIdsPerRecord = 8192;
@@ -61,33 +44,9 @@ constexpr std::uint32_t kSnapshotWrapperVersion = 1;
 
 constexpr std::uint32_t kShardMetaMagic = 0x4d53424eu;  // "NBSM"
 
-// The tick stamp leading every WAL record payload (0 if malformed — the
-// CRC already vouched for it, so that never happens in practice).
-Ticks WalRecordNow(const persist::WalRecord& record) {
-  if (record.payload.size() < 8) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | record.payload[i];
-  return static_cast<Ticks>(v);
-}
-
-// Scatter-gather stats folding uses the shared netbatch::MergeCounterSnapshots
-// (common/counters.h): counters add, gauge values merge per-policy (sum for
-// additive quantities, max for watermarks like daemon.recovery_ms), gauge
-// maxes merge by max — a 2-shard daemon must report the cluster-wide
-// watermark, not the sum of per-shard watermarks.
-
-// Same layout as CounterRegistry::Render(), so clients parse one format
-// whether the daemon runs one shard or many.
-std::string RenderCounterSnapshot(const CounterSnapshot& snap) {
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    out += name + "=" + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value, max] : snap.gauges) {
-    out += name + "=" + std::to_string(value) +
-           " (max=" + std::to_string(max) + ")\n";
-  }
-  return out;
+std::function<void(std::uint32_t)>& RecoveryHook() {
+  static std::function<void(std::uint32_t)> hook;
+  return hook;
 }
 
 std::string RenderLatencyLine(const LatencyHistogram& lat) {
@@ -98,7 +57,31 @@ std::string RenderLatencyLine(const LatencyHistogram& lat) {
          ",max=" + std::to_string(lat.max()) + "}\n";
 }
 
+void EncodeSnapshotPayload(Ticks now,
+                           const sched::SchedulerCore::Snapshot& snap,
+                           std::vector<std::uint8_t>& payload) {
+  WireWriter w(payload);
+  w.I64(now);
+  w.U64(snap.started);
+  w.U64(snap.completed);
+  w.U64(snap.rejected);
+  w.U64(snap.preemptions);
+  w.U64(snap.reschedules);
+  w.U32(static_cast<std::uint32_t>(snap.pools.size()));
+  for (const auto& pool : snap.pools) {
+    w.U32(pool.id.value());
+    w.I64(pool.total_cores);
+    w.I64(pool.busy_cores);
+    w.U64(pool.queued);
+    w.U64(pool.suspended);
+  }
+}
+
 }  // namespace
+
+void SetRecoveryHookForTesting(std::function<void(std::uint32_t)> hook) {
+  RecoveryHook() = std::move(hook);
+}
 
 std::uint64_t WallNanos() {
   return static_cast<std::uint64_t>(
@@ -201,31 +184,13 @@ void ShardLoop::DrainDueTimers() {
     const Timer timer = timers_.front();
     std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
     timers_.pop_back();
-    // A reclaimed slot means the job this timer was armed for is gone (and
-    // its id may even be reused — the generation floor on reuse would catch
-    // that too, but an unknown id must not reach jobs_.at()).
-    if (!core_.jobs().Contains(timer.job)) continue;
-    switch (timer.kind) {
-      case TimerKind::kCompletion:
-        core_.Complete(timer.job, timer.stamp, now);
-        break;
-      case TimerKind::kWaitTimeout:
-        core_.OnWaitTimeout(timer.job, timer.stamp, now);
-        break;
-      case TimerKind::kDelivery:
-        core_.DeliverRestart(timer.job, timer.stamp, timer.pool, now);
-        break;
-    }
-    if (wal_ != nullptr) {
-      wal_payload_.clear();
-      WireWriter w(wal_payload_);
-      w.I64(now);
-      w.U16(static_cast<std::uint16_t>(timer.kind));
-      w.U64(timer.job.value());
-      w.U64(timer.stamp);
-      w.U32(timer.pool.value());
-      AppendWal(static_cast<std::uint16_t>(WalKind::kTimer));
-    }
+    ShardMutation m{.kind = MutationKind::kTimer,
+                    .now = now,
+                    .timer = timer.kind,
+                    .job = timer.job,
+                    .stamp = timer.stamp,
+                    .pool = timer.pool};
+    Commit(m);
   }
 }
 
@@ -243,8 +208,8 @@ int ShardLoop::NextTimerDelayMs() const {
 
 // --- lifecycle --------------------------------------------------------------
 
-void ShardLoop::Start() {
-  thread_ = std::thread([this] { Run(); });
+void ShardLoop::Start(std::latch& recovered) {
+  thread_ = std::thread([this, &recovered] { Run(recovered); });
 }
 
 void ShardLoop::RequestStop() {
@@ -257,8 +222,15 @@ void ShardLoop::Join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void ShardLoop::Run() {
-  if (!options_.data_dir.empty()) RecoverFromDisk();
+void ShardLoop::Run(std::latch& recovered) {
+  if (!options_.data_dir.empty()) {
+    if (RecoveryHook()) RecoveryHook()(options_.shard_index);
+    RecoverFromDisk();
+  }
+  // Recovery is a phase: a durable daemon accepts no connection until every
+  // shard has re-registered its jobs in the directory, so no request can
+  // miss a recovered job or claim its id a second time.
+  recovered.count_down();
   poller_.Add(mailbox_.wake_fd(), net::kPollIn, kWakeToken);
   while (!stop_.load(std::memory_order_relaxed)) {
     int timeout_ms = NextTimerDelayMs();
@@ -276,14 +248,12 @@ void ShardLoop::Run() {
     }
     for (const net::PollResult& event : ready_) {
       if (event.token == kWakeToken) continue;  // handled above
-      const int fd = static_cast<int>(event.token & 0xffffffffu);
-      const auto gen = static_cast<std::uint32_t>(event.token >> 32);
-      const auto it = sessions_.find(fd);
-      // Generation mismatch: this event is for a connection dropped earlier
-      // in the batch whose fd number was already recycled. Delivering it to
-      // the new session would corrupt an unrelated client's stream.
-      if (it == sessions_.end() || it->second.gen != gen) continue;
-      SessionState& state = it->second;
+      // A stale token is an event for a connection dropped earlier in the
+      // batch whose fd number was already recycled. Delivering it to the new
+      // session would corrupt an unrelated client's stream.
+      SessionState* const found = FindSession(event.token);
+      if (found == nullptr) continue;
+      SessionState& state = *found;
       bool alive = true;
       if (event.events & net::kPollOut) {
         alive = state.session.FlushPending() == net::Session::IoStatus::kOk;
@@ -296,7 +266,7 @@ void ShardLoop::Run() {
         alive = false;
       }
       if (!alive) {
-        DropSession(fd);
+        DropSession(state.session.fd());
         continue;
       }
       // Sessions with queued output get rearmed by FlushRound below,
@@ -329,31 +299,15 @@ void ShardLoop::DrainMailbox() {
 }
 
 void ShardLoop::DrainReclaim() {
-  reclaimed_ids_.clear();
-  for (JobId id : reclaim_queue_) {
-    if (!core_.jobs().Contains(id)) continue;  // already reclaimed
-    if (!IsTerminal(core_.jobs().at(id).state())) continue;
-    directory_->EraseIfOwner(id, options_.shard_index);
-    core_.jobs().Erase(id);
-    if (wal_ != nullptr) reclaimed_ids_.push_back(id);
-  }
-  reclaim_queue_.clear();
+  if (reclaim_queue_.empty()) return;
   // Erasing frees slots for reuse, which moves the generation sequence
-  // later Creates observe — log it so replay reclaims at the same point
-  // (see WalKind::kReclaim).
-  for (std::size_t base = 0; base < reclaimed_ids_.size();
-       base += kReclaimIdsPerRecord) {
-    const std::size_t end =
-        std::min(base + kReclaimIdsPerRecord, reclaimed_ids_.size());
-    wal_payload_.clear();
-    WireWriter w(wal_payload_);
-    w.I64(NowTicks());
-    w.U32(static_cast<std::uint32_t>(end - base));
-    for (std::size_t i = base; i < end; ++i) {
-      w.U64(reclaimed_ids_[i].value());
-    }
-    AppendWal(static_cast<std::uint16_t>(WalKind::kReclaim));
-  }
+  // later Creates observe — so it is a logged mutation like any other
+  // (see MutationKind::kReclaim).
+  ShardMutation m{.kind = MutationKind::kReclaim, .now = NowTicks()};
+  m.reclaimed.swap(reclaim_queue_);
+  Commit(m);
+  m.reclaimed.clear();
+  reclaim_queue_.swap(m.reclaimed);  // keep the buffer for the next round
 }
 
 void ShardLoop::HandleMessage(ShardMessage& msg) {
@@ -368,63 +322,12 @@ void ShardLoop::HandleMessage(ShardMessage& msg) {
     case ShardMessage::Kind::kResponse:
       WriteToSession(msg.token, msg.bytes.data(), msg.bytes.size());
       break;
-    case ShardMessage::Kind::kStatsQuery: {
-      core_.RefreshGauges(NowTicks());
-      ShardMessage reply;
-      reply.kind = ShardMessage::Kind::kStatsReply;
-      reply.sender = options_.shard_index;
-      reply.gather = msg.gather;
-      reply.counters = core_.counters().TakeSnapshot();
-      reply.latency = placement_latency_;
-      peers_[msg.sender]->Post(std::move(reply));
+    case ShardMessage::Kind::kQuery:
+      peers_[msg.sender]->Post(Contribute(msg.opcode, msg.gather));
       break;
-    }
-    case ShardMessage::Kind::kStatsReply: {
-      const auto it = stats_gathers_.find(msg.gather);
-      if (it == stats_gathers_.end()) break;
-      MergeCounterSnapshots(it->second.counters, msg.counters);
-      it->second.latency.Merge(msg.latency);
-      if (--it->second.remaining == 0) FinishStatsGather(msg.gather);
+    case ShardMessage::Kind::kReply:
+      AddToGather(msg, /*out=*/nullptr);
       break;
-    }
-    case ShardMessage::Kind::kSnapshotQuery: {
-      ShardMessage reply;
-      reply.kind = ShardMessage::Kind::kSnapshotReply;
-      reply.sender = options_.shard_index;
-      reply.gather = msg.gather;
-      reply.snapshot = LocalSnapshot();
-      peers_[msg.sender]->Post(std::move(reply));
-      break;
-    }
-    case ShardMessage::Kind::kSnapshotReply: {
-      const auto it = snapshot_gathers_.find(msg.gather);
-      if (it == snapshot_gathers_.end()) break;
-      SnapshotGather& g = it->second;
-      g.merged.started += msg.snapshot.started;
-      g.merged.completed += msg.snapshot.completed;
-      g.merged.rejected += msg.snapshot.rejected;
-      g.merged.preemptions += msg.snapshot.preemptions;
-      g.merged.reschedules += msg.snapshot.reschedules;
-      g.merged.pools.insert(g.merged.pools.end(), msg.snapshot.pools.begin(),
-                            msg.snapshot.pools.end());
-      if (--g.remaining == 0) FinishSnapshotGather(msg.gather);
-      break;
-    }
-    case ShardMessage::Kind::kCheckpointQuery: {
-      if (wal_ != nullptr) DoLocalCheckpoint();
-      ShardMessage reply;
-      reply.kind = ShardMessage::Kind::kCheckpointReply;
-      reply.sender = options_.shard_index;
-      reply.gather = msg.gather;
-      peers_[msg.sender]->Post(std::move(reply));
-      break;
-    }
-    case ShardMessage::Kind::kCheckpointReply: {
-      const auto it = checkpoint_gathers_.find(msg.gather);
-      if (it == checkpoint_gathers_.end()) break;
-      if (--it->second.remaining == 0) FinishCheckpointGather(msg.gather);
-      break;
-    }
   }
 }
 
@@ -485,19 +388,25 @@ bool ShardLoop::HandleReadable(SessionState& state, std::uint64_t token) {
   return true;
 }
 
+ShardLoop::SessionState* ShardLoop::FindSession(std::uint64_t token) {
+  const auto it = sessions_.find(static_cast<int>(token & 0xffffffffu));
+  if (it == sessions_.end() ||
+      it->second.gen != static_cast<std::uint32_t>(token >> 32)) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
 void ShardLoop::WriteToSession(std::uint64_t token, const std::uint8_t* bytes,
                                std::size_t size) {
-  const int fd = static_cast<int>(token & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(token >> 32);
-  const auto it = sessions_.find(fd);
-  if (it == sessions_.end() || it->second.gen != gen) return;  // session gone
-  SessionState& state = it->second;
-  if (state.session.QueueWrite(bytes, size) !=
+  SessionState* const state = FindSession(token);
+  if (state == nullptr) return;  // session gone
+  if (state->session.QueueWrite(bytes, size) !=
       net::Session::IoStatus::kOk) {
     NETBATCH_LOG(kWarn) << "dropping session: pending output over "
                         << options_.max_session_pending
                         << " bytes (slow reader)";
-    DropSession(fd);
+    DropSession(state->session.fd());
     return;
   }
   round_dirty_.push_back(token);
@@ -505,17 +414,14 @@ void ShardLoop::WriteToSession(std::uint64_t token, const std::uint8_t* bytes,
 
 void ShardLoop::FlushRound() {
   FlushWal();
-  if (round_dirty_.empty()) return;
   for (const std::uint64_t token : round_dirty_) {
-    const int fd = static_cast<int>(token & 0xffffffffu);
-    const auto gen = static_cast<std::uint32_t>(token >> 32);
-    const auto it = sessions_.find(fd);
-    if (it == sessions_.end() || it->second.gen != gen) continue;
-    if (it->second.session.FlushPending() != net::Session::IoStatus::kOk) {
-      DropSession(fd);
+    SessionState* const state = FindSession(token);
+    if (state == nullptr) continue;
+    if (state->session.FlushPending() != net::Session::IoStatus::kOk) {
+      DropSession(state->session.fd());
       continue;
     }
-    RearmSession(it->second);
+    RearmSession(*state);
   }
   round_dirty_.clear();
 }
@@ -523,14 +429,18 @@ void ShardLoop::FlushRound() {
 // --- frame dispatch ---------------------------------------------------------
 
 void ShardLoop::Respond(std::uint32_t origin, std::uint64_t token,
-                        std::vector<std::uint8_t>&& bytes,
+                        const FrameHeader& request,
+                        const std::vector<std::uint8_t>& payload,
                         std::vector<std::uint8_t>* out) {
+  const std::uint16_t opcode = request.opcode | kResponseBit;
+  if (origin == options_.shard_index && out != nullptr) {
+    EncodeFrame(opcode, request.request_id, payload, *out);
+    return;
+  }
+  std::vector<std::uint8_t> bytes;
+  EncodeFrame(opcode, request.request_id, payload, bytes);
   if (origin == options_.shard_index) {
-    if (out != nullptr) {
-      out->insert(out->end(), bytes.begin(), bytes.end());
-    } else {
-      WriteToSession(token, bytes.data(), bytes.size());
-    }
+    WriteToSession(token, bytes.data(), bytes.size());
     return;
   }
   // A forwarded mutation was applied (and logged) HERE, but its ack leaves
@@ -550,11 +460,8 @@ void ShardLoop::RespondStatus(std::uint32_t origin, std::uint64_t token,
                               const FrameHeader& header, Status status,
                               std::vector<std::uint8_t>* out) {
   std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.U32(static_cast<std::uint32_t>(status));
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(header.opcode | kResponseBit, header.request_id, payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  WireWriter(payload).U32(static_cast<std::uint32_t>(status));
+  Respond(origin, token, header, payload, out);
 }
 
 void ShardLoop::ForwardFrame(std::uint32_t target, std::uint32_t origin,
@@ -587,35 +494,32 @@ void ShardLoop::ProcessFrame(std::uint32_t origin, std::uint64_t token,
     case Opcode::kRepairMachine:
       HandleMachineOp(origin, token, frame, out);
       break;
-    case Opcode::kDrain:
-      draining_->store(true, std::memory_order_release);
-      if (wal_ != nullptr) {
-        // A drain is the orderly shutdown path: make everything acked so
-        // far durable — log the drain, force the batch out, and write a
-        // final checkpoint on every shard — before confirming it.
-        wal_payload_.clear();
-        WireWriter(wal_payload_).I64(NowTicks());
-        AppendWal(static_cast<std::uint16_t>(WalKind::kDrain));
-        wal_->Sync();
-        StartCheckpointFanout(token, frame.header, out);
-      } else {
+    case Opcode::kDrain: {
+      ShardMutation m{.kind = MutationKind::kDrain, .now = NowTicks()};
+      Commit(m);
+      if (wal_ == nullptr) {
         RespondStatus(origin, token, frame.header, Status::kOk, out);
+        break;
       }
+      // A drain is the orderly shutdown path: make everything acked so far
+      // durable — the drain record forced out, then a final checkpoint on
+      // every shard — before confirming it.
+      wal_->Sync();
+      StartGather(token, frame.header, out);
       break;
+    }
     case Opcode::kCheckpoint:
       if (wal_ == nullptr) {
         // No --data-dir: there is nowhere to checkpoint to.
         RespondStatus(origin, token, frame.header, Status::kBadState, out);
-      } else {
-        StartCheckpointFanout(token, frame.header, out);
+        break;
       }
+      StartGather(token, frame.header, out);
       break;
     case Opcode::kSnapshot:
-      // Only ever initiated on the session's shard (never forwarded).
-      HandleSnapshot(token, frame, out);
-      break;
     case Opcode::kStats:
-      HandleStats(token, frame, out);
+      // Gathers start on the session's shard; these are never forwarded.
+      StartGather(token, frame.header, out);
       break;
     default:
       RespondStatus(origin, token, frame.header, Status::kBadRequest, out);
@@ -625,27 +529,18 @@ void ShardLoop::ProcessFrame(std::uint32_t origin, std::uint64_t token,
 void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
                              const Frame& frame, std::uint64_t arrival_ns,
                              std::vector<std::uint8_t>* out) {
-  SubmitResponse response;
+  SubmitResponse response;  // kBadRequest unless admitted or draining
   workload::JobSpec spec;
-  bool valid = DecodeJobSpec(frame.payload, spec);
-  if (valid) {
-    response.job_id = spec.id.value();
-    if (spec.cores <= 0 || spec.memory_mb < 0 || spec.runtime < 0) {
-      valid = false;
-    }
-    for (PoolId pool : spec.candidate_pools) {
-      if (pool.value() >= options_.global_pool_count) valid = false;
-    }
+  const bool decoded = DecodeJobSpec(frame.payload, spec);
+  if (decoded) response.job_id = spec.id.value();
+  bool valid =
+      decoded && spec.cores > 0 && spec.memory_mb >= 0 && spec.runtime >= 0;
+  for (PoolId pool : spec.candidate_pools) {
+    if (pool.value() >= options_.global_pool_count) valid = false;
   }
   if (valid && draining_->load(std::memory_order_acquire)) {
     response.status = Status::kDraining;
-    std::vector<std::uint8_t> payload;
-    EncodeSubmitResponse(response, payload);
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kSubmit) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(origin, token, std::move(bytes), out);
-    return;
+    valid = false;
   }
   if (valid && !spec.candidate_pools.empty()) {
     // Keep the candidates this shard owns (an empty candidate list means
@@ -665,60 +560,42 @@ void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
     }
     spec.candidate_pools = std::move(local);
   }
-  if (valid) {
-    const JobId id = spec.id;
-    // Local duplicates first (covers ids the duplication extension spawned
-    // on this shard), then the cluster-wide claim.
-    if (core_.jobs().Contains(id) ||
-        !directory_->TryInsert(id, options_.shard_index)) {
-      valid = false;
-    } else {
-      const Ticks now = NowTicks();
-      if (wal_ != nullptr) {
-        // Log the spec as admitted — candidate pools already rewritten to
-        // this shard's local ids — so replay skips the routing step.
-        wal_payload_.clear();
-        WireWriter(wal_payload_).I64(now);
-        EncodeJobSpec(spec, wal_payload_);
-      }
-      core_.AdmitJob(std::move(spec));
-      submit_arrival_ns_.emplace(id, arrival_ns);
-      latency_map_gauge_->Set(
-          static_cast<std::int64_t>(submit_arrival_ns_.size()));
-      core_.Submit(id, now);
-      // Even a rejected submit mutated state (the scheduler cursor, the
-      // reject counters, possibly the duplicate id sequence) — log it
-      // before acking so the replayed core lands on the same sequence.
-      if (wal_ != nullptr) {
-        AppendWal(static_cast<std::uint16_t>(WalKind::kSubmit));
-      }
-      const cluster::Job& job = core_.jobs().at(id);
-      switch (job.state()) {
-        case cluster::JobState::kRunning:
-          response.status = Status::kOk;
-          response.pool = ToGlobalPool(job.pool()).value();
-          response.machine = job.machine().value();
-          break;
-        case cluster::JobState::kWaiting:
-        case cluster::JobState::kInTransit:
-          response.status = Status::kQueued;
-          response.pool = ToGlobalPool(job.pool()).value();
-          break;
-        default:
-          // Rejected: OnJobTerminal already drained the arrival entry and
-          // queued the slot for reclamation.
-          response.status = Status::kRejected;
-          break;
-      }
+  // Local duplicates first (covers ids the duplication extension spawned
+  // on this shard), then the cluster-wide claim.
+  const JobId id = spec.id;
+  if (valid && !core_.jobs().Contains(id) &&
+      directory_->TryInsert(id, options_.shard_index)) {
+    // The spec is logged as admitted — candidate pools already rewritten to
+    // this shard's local ids — so replay skips the routing step. Even a
+    // rejected submit mutated state (the scheduler cursor, the reject
+    // counters, possibly the duplicate id sequence), so it is logged too.
+    ShardMutation m{.kind = MutationKind::kSubmit,
+                    .now = NowTicks(),
+                    .job = id,
+                    .spec = std::move(spec)};
+    Commit(m, arrival_ns);
+    const cluster::Job& job = core_.jobs().at(id);
+    switch (job.state()) {
+      case cluster::JobState::kRunning:
+        response.status = Status::kOk;
+        response.pool = ToGlobalPool(job.pool()).value();
+        response.machine = job.machine().value();
+        break;
+      case cluster::JobState::kWaiting:
+      case cluster::JobState::kInTransit:
+        response.status = Status::kQueued;
+        response.pool = ToGlobalPool(job.pool()).value();
+        break;
+      default:
+        // Rejected: OnJobTerminal already drained the arrival entry and
+        // queued the slot for reclamation.
+        response.status = Status::kRejected;
+        break;
     }
   }
-  if (!valid) response.status = Status::kBadRequest;
   std::vector<std::uint8_t> payload;
   EncodeSubmitResponse(response, payload);
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kSubmit) | kResponseBit,
-              frame.header.request_id, payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  Respond(origin, token, frame.header, payload, out);
 }
 
 void ShardLoop::HandleJobOp(std::uint32_t origin, std::uint64_t token,
@@ -742,61 +619,17 @@ void ShardLoop::HandleJobOp(std::uint32_t origin, std::uint64_t token,
       ForwardFrame(*owner, origin, token, frame, 0);
       return;
     }
-    if (!core_.jobs().Contains(id)) {
+    if (opcode != Opcode::kQueryJob) {
+      ShardMutation m{.kind = MutationKind::kJobOp,
+                      .now = NowTicks(),
+                      .opcode = frame.header.opcode,
+                      .job = id};
+      status = Commit(m);
+    } else if (!core_.jobs().Contains(id)) {
       status = Status::kUnknownJob;
-    } else {
-      const Ticks now = NowTicks();
+    }
+    if (opcode == Opcode::kQueryJob && status == Status::kOk) {
       const cluster::Job job = core_.jobs().at(id);
-      bool mutated = false;
-      switch (opcode) {
-        case Opcode::kComplete:
-          if (job.state() != cluster::JobState::kRunning) {
-            status = Status::kBadState;
-          } else {
-            core_.Complete(id, job.generation(), now);
-            mutated = true;
-          }
-          break;
-        case Opcode::kSuspend:
-          if (!core_.Suspend(id, now)) {
-            status = Status::kBadState;
-          } else {
-            mutated = true;
-          }
-          break;
-        case Opcode::kResume:
-          if (job.state() != cluster::JobState::kSuspended) {
-            status = Status::kBadState;
-          } else if (!core_.Resume(id, now)) {
-            // Still suspended: its machine is full or offline right now.
-            status = Status::kQueued;
-          } else {
-            mutated = true;
-          }
-          break;
-        case Opcode::kQueryJob:
-          break;
-        case Opcode::kKill:
-          if (!core_.Kill(id, now)) {
-            status = Status::kBadState;
-          } else {
-            mutated = true;
-          }
-          break;
-        default:
-          status = Status::kBadRequest;
-          break;
-      }
-      // Only ops that actually changed the core are logged: replay mirrors
-      // the applied sequence, not the request stream.
-      if (mutated && wal_ != nullptr) {
-        wal_payload_.clear();
-        WireWriter w(wal_payload_);
-        w.I64(now);
-        w.U16(frame.header.opcode);
-        w.U64(id.value());
-        AppendWal(static_cast<std::uint16_t>(WalKind::kJobOp));
-      }
       state = static_cast<std::uint32_t>(job.state());
       pool = ToGlobalPool(job.pool()).value();
       machine = job.machine().value();
@@ -810,10 +643,7 @@ void ShardLoop::HandleJobOp(std::uint32_t origin, std::uint64_t token,
     w.U32(pool);
     w.U32(machine);
   }
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(frame.header.opcode | kResponseBit, frame.header.request_id,
-              payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  Respond(origin, token, frame.header, payload, out);
 }
 
 void ShardLoop::HandleMachineOp(std::uint32_t origin, std::uint64_t token,
@@ -836,67 +666,101 @@ void ShardLoop::HandleMachineOp(std::uint32_t origin, std::uint64_t token,
     RespondStatus(origin, token, frame.header, Status::kBadRequest, out);
     return;
   }
-  const Ticks now = NowTicks();
-  if (static_cast<Opcode>(frame.header.opcode) == Opcode::kFailMachine) {
-    core_.FailMachine(local, MachineId(machine), now);
-  } else {
-    core_.RepairMachine(local, MachineId(machine), now);
-  }
-  if (wal_ != nullptr) {
-    wal_payload_.clear();
-    WireWriter w(wal_payload_);
-    w.I64(now);
-    w.U16(frame.header.opcode);
-    w.U32(local.value());
-    w.U32(machine);
-    AppendWal(static_cast<std::uint16_t>(WalKind::kMachineOp));
-  }
-  RespondStatus(origin, token, frame.header, Status::kOk, out);
+  ShardMutation m{.kind = MutationKind::kMachineOp,
+                  .now = NowTicks(),
+                  .opcode = frame.header.opcode,
+                  .pool = local,
+                  .machine = MachineId(machine)};
+  RespondStatus(origin, token, frame.header, Commit(m), out);
 }
 
-// --- stats & snapshot scatter-gather ----------------------------------------
+// --- scatter-gather ---------------------------------------------------------
 
-void ShardLoop::HandleStats(std::uint64_t token, const Frame& frame,
+void ShardLoop::StartGather(std::uint64_t token, const FrameHeader& header,
                             std::vector<std::uint8_t>* out) {
-  core_.RefreshGauges(NowTicks());
-  if (options_.shard_count == 1) {
-    std::string text = core_.counters().Render();
-    text += RenderLatencyLine(placement_latency_);
-    std::vector<std::uint8_t> payload(text.begin(), text.end());
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kStats) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(options_.shard_index, token, std::move(bytes), out);
-    return;
-  }
-  const std::uint64_t gid = next_gather_id_++;
-  StatsGather& g = stats_gathers_[gid];
+  const std::uint64_t id = next_gather_id_++;
+  Gather& g = gathers_[id];
   g.token = token;
-  g.request_id = frame.header.request_id;
-  g.remaining = options_.shard_count - 1;
-  g.counters = core_.counters().TakeSnapshot();
-  g.latency = placement_latency_;
+  g.request = header;
+  g.remaining = options_.shard_count;
   for (std::uint32_t s = 0; s < options_.shard_count; ++s) {
     if (s == options_.shard_index) continue;
     ShardMessage query;
-    query.kind = ShardMessage::Kind::kStatsQuery;
+    query.kind = ShardMessage::Kind::kQuery;
     query.sender = options_.shard_index;
-    query.gather = gid;
+    query.gather = id;
+    query.opcode = header.opcode;
     peers_[s]->Post(std::move(query));
   }
+  AddToGather(Contribute(header.opcode, id), out);
 }
 
-void ShardLoop::FinishStatsGather(std::uint64_t gather_id) {
-  const auto it = stats_gathers_.find(gather_id);
-  StatsGather& g = it->second;
-  std::string text = RenderCounterSnapshot(g.counters);
-  text += RenderLatencyLine(g.latency);
-  std::vector<std::uint8_t> payload(text.begin(), text.end());
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kStats) | kResponseBit,
-              g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
-  stats_gathers_.erase(it);
+ShardMessage ShardLoop::Contribute(std::uint16_t opcode,
+                                   std::uint64_t gather_id) {
+  ShardMessage part;
+  part.kind = ShardMessage::Kind::kReply;
+  part.sender = options_.shard_index;
+  part.gather = gather_id;
+  part.opcode = opcode;
+  switch (static_cast<Opcode>(opcode)) {
+    case Opcode::kStats:
+      core_.RefreshGauges(NowTicks());
+      part.counters = core_.counters().TakeSnapshot();
+      part.latency = placement_latency_;
+      break;
+    case Opcode::kSnapshot:
+      part.snapshot = LocalSnapshot();
+      break;
+    default:  // kCheckpoint, kDrain: this shard's state is durable first
+      if (wal_ != nullptr) DoLocalCheckpoint();
+      break;
+  }
+  return part;
+}
+
+void ShardLoop::AddToGather(const ShardMessage& part,
+                            std::vector<std::uint8_t>* out) {
+  const auto it = gathers_.find(part.gather);
+  if (it == gathers_.end()) return;
+  // Counters add, gauge values merge per policy and gauge maxes by max
+  // (MergeCounterSnapshots): a many-shard daemon reports the cluster-wide
+  // watermark, not the sum of per-shard watermarks.
+  Gather& g = it->second;
+  MergeCounterSnapshots(g.counters, part.counters);
+  g.latency.Merge(part.latency);
+  g.snapshot.started += part.snapshot.started;
+  g.snapshot.completed += part.snapshot.completed;
+  g.snapshot.rejected += part.snapshot.rejected;
+  g.snapshot.preemptions += part.snapshot.preemptions;
+  g.snapshot.reschedules += part.snapshot.reschedules;
+  g.snapshot.pools.insert(g.snapshot.pools.end(), part.snapshot.pools.begin(),
+                          part.snapshot.pools.end());
+  if (--g.remaining > 0) return;
+  FinishGather(g, out);
+  gathers_.erase(it);
+}
+
+void ShardLoop::FinishGather(Gather& g, std::vector<std::uint8_t>* out) {
+  std::vector<std::uint8_t> payload;
+  switch (static_cast<Opcode>(g.request.opcode)) {
+    case Opcode::kStats: {
+      const std::string text =
+          RenderCounterSnapshot(g.counters) + RenderLatencyLine(g.latency);
+      payload.assign(text.begin(), text.end());
+      break;
+    }
+    case Opcode::kSnapshot:
+      std::sort(g.snapshot.pools.begin(), g.snapshot.pools.end(),
+                [](const auto& a, const auto& b) {
+                  return a.id.value() < b.id.value();
+                });
+      EncodeSnapshotPayload(NowTicks(), g.snapshot, payload);
+      break;
+    default:  // kCheckpoint, kDrain: every shard's snapshot is durable
+      WireWriter(payload).U32(static_cast<std::uint32_t>(Status::kOk));
+      break;
+  }
+  Respond(options_.shard_index, g.token, g.request, payload, out);
 }
 
 sched::SchedulerCore::Snapshot ShardLoop::LocalSnapshot() {
@@ -905,78 +769,7 @@ sched::SchedulerCore::Snapshot ShardLoop::LocalSnapshot() {
   return snap;
 }
 
-namespace {
-
-void EncodeSnapshotPayload(Ticks now,
-                           const sched::SchedulerCore::Snapshot& snap,
-                           std::vector<std::uint8_t>& payload) {
-  WireWriter w(payload);
-  w.I64(now);
-  w.U64(snap.started);
-  w.U64(snap.completed);
-  w.U64(snap.rejected);
-  w.U64(snap.preemptions);
-  w.U64(snap.reschedules);
-  w.U32(static_cast<std::uint32_t>(snap.pools.size()));
-  for (const auto& pool : snap.pools) {
-    w.U32(pool.id.value());
-    w.I64(pool.total_cores);
-    w.I64(pool.busy_cores);
-    w.U64(pool.queued);
-    w.U64(pool.suspended);
-  }
-}
-
-}  // namespace
-
-void ShardLoop::HandleSnapshot(std::uint64_t token, const Frame& frame,
-                               std::vector<std::uint8_t>* out) {
-  if (options_.shard_count == 1) {
-    std::vector<std::uint8_t> payload;
-    EncodeSnapshotPayload(NowTicks(), LocalSnapshot(), payload);
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kSnapshot) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(options_.shard_index, token, std::move(bytes), out);
-    return;
-  }
-  const std::uint64_t gid = next_gather_id_++;
-  SnapshotGather& g = snapshot_gathers_[gid];
-  g.token = token;
-  g.request_id = frame.header.request_id;
-  g.remaining = options_.shard_count - 1;
-  g.merged = LocalSnapshot();
-  for (std::uint32_t s = 0; s < options_.shard_count; ++s) {
-    if (s == options_.shard_index) continue;
-    ShardMessage query;
-    query.kind = ShardMessage::Kind::kSnapshotQuery;
-    query.sender = options_.shard_index;
-    query.gather = gid;
-    peers_[s]->Post(std::move(query));
-  }
-}
-
-void ShardLoop::FinishSnapshotGather(std::uint64_t gather_id) {
-  const auto it = snapshot_gathers_.find(gather_id);
-  SnapshotGather& g = it->second;
-  std::sort(g.merged.pools.begin(), g.merged.pools.end(),
-            [](const auto& a, const auto& b) {
-              return a.id.value() < b.id.value();
-            });
-  std::vector<std::uint8_t> payload;
-  EncodeSnapshotPayload(NowTicks(), g.merged, payload);
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kSnapshot) | kResponseBit,
-              g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
-  snapshot_gathers_.erase(it);
-}
-
 // --- durability -------------------------------------------------------------
-
-void ShardLoop::AppendWal(std::uint16_t type) {
-  wal_->Append(type, wal_payload_);
-}
 
 void ShardLoop::FlushWal() {
   if (wal_ == nullptr) return;
@@ -1052,118 +845,221 @@ void ShardLoop::ValidateShardMeta() {
                  "cannot rename " + tmp_path);
 }
 
-void ShardLoop::ApplyWalRecord(const persist::WalRecord& record) {
-  WireReader r(record.payload);
-  const Ticks now = r.I64();
-  switch (static_cast<WalKind>(record.type)) {
-    case WalKind::kSubmit: {
-      workload::JobSpec spec;
-      if (record.payload.size() < 8 ||
-          !DecodeJobSpec(std::vector<std::uint8_t>(record.payload.begin() + 8,
-                                                   record.payload.end()),
-                         spec)) {
-        NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": bad submit payload";
-        return;
+// --- the one apply path -----------------------------------------------------
+
+Status ShardLoop::Apply(ShardMutation& m, std::uint64_t arrival_ns) {
+  switch (m.kind) {
+    case MutationKind::kSubmit:
+      // Live, an id is only re-admitted after its terminal predecessor was
+      // reclaimed, and that reclaim rides the log as a kReclaim record
+      // ahead of this one. A terminal occupant still here means the reclaim
+      // record was lost (or the log predates kReclaim): erase it rather
+      // than drop an acked submit. A live occupant is a duplicate.
+      if (core_.jobs().Contains(m.job) && !Reclaim(m.job)) {
+        return Status::kBadRequest;
       }
-      const JobId id = spec.id;
-      if (core_.jobs().Contains(id)) {
-        // Live, an id is only re-admitted after its terminal predecessor
-        // was reclaimed, and that reclaim rides the log as a kReclaim
-        // record preceding this one. A terminal occupant still here means
-        // the reclaim record was lost (or the log predates kReclaim):
-        // erase it rather than silently dropping an acked submit.
-        if (!IsTerminal(core_.jobs().at(id).state())) {
-          NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": duplicate submit";
-          return;
-        }
-        directory_->EraseIfOwner(id, options_.shard_index);
-        core_.jobs().Erase(id);
+      core_.AdmitJob(std::move(m.spec));
+      if (arrival_ns != 0) {
+        submit_arrival_ns_.emplace(m.job, arrival_ns);
+        latency_map_gauge_->Set(
+            static_cast<std::int64_t>(submit_arrival_ns_.size()));
       }
-      core_.AdmitJob(std::move(spec));
-      core_.Submit(id, now);
-      break;
-    }
-    case WalKind::kJobOp: {
-      const auto opcode = static_cast<Opcode>(r.U16());
-      const JobId id(static_cast<JobId::ValueType>(r.U64()));
-      if (!r.exhausted() || !core_.jobs().Contains(id)) return;
-      const cluster::Job job = core_.jobs().at(id);
-      switch (opcode) {
+      core_.Submit(m.job, m.now);
+      return Status::kOk;
+    case MutationKind::kJobOp: {
+      if (!core_.jobs().Contains(m.job)) return Status::kUnknownJob;
+      const cluster::Job job = core_.jobs().at(m.job);
+      switch (static_cast<Opcode>(m.opcode)) {
         case Opcode::kComplete:
-          if (job.state() == cluster::JobState::kRunning) {
-            core_.Complete(id, job.generation(), now);
+          if (job.state() != cluster::JobState::kRunning) {
+            return Status::kBadState;
           }
-          break;
+          core_.Complete(m.job, job.generation(), m.now);
+          return Status::kOk;
         case Opcode::kSuspend:
-          core_.Suspend(id, now);
-          break;
+          return core_.Suspend(m.job, m.now) ? Status::kOk : Status::kBadState;
         case Opcode::kResume:
-          if (job.state() == cluster::JobState::kSuspended) {
-            core_.Resume(id, now);
+          if (job.state() != cluster::JobState::kSuspended) {
+            return Status::kBadState;
           }
-          break;
+          // Still suspended: its machine is full or offline right now.
+          return core_.Resume(m.job, m.now) ? Status::kOk : Status::kQueued;
         case Opcode::kKill:
-          core_.Kill(id, now);
-          break;
+          return core_.Kill(m.job, m.now) ? Status::kOk : Status::kBadState;
         default:
-          break;
+          return Status::kBadRequest;
       }
-      break;
     }
-    case WalKind::kMachineOp: {
-      const auto opcode = static_cast<Opcode>(r.U16());
-      const PoolId local(r.U32());
-      const MachineId machine(r.U32());
-      if (!r.exhausted()) return;
-      if (opcode == Opcode::kFailMachine) {
-        core_.FailMachine(local, machine, now);
+    case MutationKind::kMachineOp: {
+      const bool fail = static_cast<Opcode>(m.opcode) == Opcode::kFailMachine;
+      // Failing a down machine or repairing a live one changes nothing (and
+      // the pool would abort on it): refuse the request instead.
+      if (core_.pool(m.pool).MachineById(m.machine).online() != fail) {
+        return Status::kBadState;
+      }
+      if (fail) {
+        core_.FailMachine(m.pool, m.machine, m.now);
       } else {
-        core_.RepairMachine(local, machine, now);
+        core_.RepairMachine(m.pool, m.machine, m.now);
       }
-      break;
+      return Status::kOk;
     }
-    case WalKind::kTimer: {
-      const auto kind = static_cast<TimerKind>(r.U16());
-      const JobId id(static_cast<JobId::ValueType>(r.U64()));
-      const std::uint64_t stamp = r.U64();
-      const PoolId pool(r.U32());
-      if (!r.exhausted() || !core_.jobs().Contains(id)) return;
-      switch (kind) {
+    case MutationKind::kTimer:
+      // A reclaimed slot means the job this timer was armed for is gone
+      // (and its id may even be reused — the generation floor on reuse
+      // would catch that too, but an unknown id must not reach jobs_.at()).
+      if (!core_.jobs().Contains(m.job)) return Status::kUnknownJob;
+      switch (m.timer) {
         case TimerKind::kCompletion:
-          core_.Complete(id, stamp, now);
+          core_.Complete(m.job, m.stamp, m.now);
           break;
         case TimerKind::kWaitTimeout:
-          core_.OnWaitTimeout(id, stamp, now);
+          core_.OnWaitTimeout(m.job, m.stamp, m.now);
           break;
         case TimerKind::kDelivery:
-          core_.DeliverRestart(id, stamp, pool, now);
+          core_.DeliverRestart(m.job, m.stamp, m.pool, m.now);
           break;
       }
-      break;
-    }
-    case WalKind::kReclaim: {
-      // Mirror the live DrainReclaim that produced this record: erase the
-      // listed ids in order, so slot reuse (and the generation floors it
-      // seeds) advances exactly as it did before the crash.
-      const std::uint32_t count = r.U32();
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const JobId id(static_cast<JobId::ValueType>(r.U64()));
-        if (!r.ok()) break;
-        if (!core_.jobs().Contains(id)) continue;
-        if (!IsTerminal(core_.jobs().at(id).state())) continue;
-        directory_->EraseIfOwner(id, options_.shard_index);
-        core_.jobs().Erase(id);
-      }
-      break;
-    }
-    case WalKind::kDrain:
+      return Status::kOk;
+    case MutationKind::kDrain:
       draining_->store(true, std::memory_order_release);
+      return Status::kOk;
+    case MutationKind::kReclaim: {
+      // Erase in order, so slot reuse (and the generation floors it seeds)
+      // advances exactly as it did live; keep only what was erased.
+      std::size_t kept = 0;
+      for (const JobId id : m.reclaimed) {
+        if (Reclaim(id)) m.reclaimed[kept++] = id;
+      }
+      m.reclaimed.resize(kept);
+      return kept > 0 ? Status::kOk : Status::kUnknownJob;
+    }
+  }
+  return Status::kBadRequest;
+}
+
+Status ShardLoop::Commit(ShardMutation& m, std::uint64_t arrival_ns) {
+  const Status status = Apply(m, arrival_ns);
+  // Only what changed the core is logged: replay mirrors the applied
+  // sequence, not the request stream.
+  if (wal_ != nullptr && status == Status::kOk) Log(m);
+  return status;
+}
+
+void ShardLoop::Log(const ShardMutation& m) {
+  if (m.kind == MutationKind::kReclaim &&
+      m.reclaimed.size() > kReclaimIdsPerRecord) {
+    ShardMutation part;
+    part.kind = MutationKind::kReclaim;
+    part.now = m.now;
+    for (std::size_t base = 0; base < m.reclaimed.size();
+         base += kReclaimIdsPerRecord) {
+      const std::size_t end =
+          std::min(base + kReclaimIdsPerRecord, m.reclaimed.size());
+      part.reclaimed.assign(m.reclaimed.begin() + base,
+                            m.reclaimed.begin() + end);
+      Log(part);
+    }
+    return;
+  }
+  wal_payload_.clear();
+  WireWriter w(wal_payload_);
+  w.I64(m.now);
+  switch (m.kind) {
+    case MutationKind::kSubmit:
+      // Apply moved the spec into the core; log it from there, as admitted.
+      EncodeJobSpec(core_.jobs().at(m.job).spec(), wal_payload_);
       break;
+    case MutationKind::kJobOp:
+      w.U16(m.opcode);
+      w.U64(m.job.value());
+      break;
+    case MutationKind::kMachineOp:
+      w.U16(m.opcode);
+      w.U32(m.pool.value());
+      w.U32(m.machine.value());
+      break;
+    case MutationKind::kTimer:
+      w.U16(static_cast<std::uint16_t>(m.timer));
+      w.U64(m.job.value());
+      w.U64(m.stamp);
+      w.U32(m.pool.value());
+      break;
+    case MutationKind::kDrain:
+      break;
+    case MutationKind::kReclaim:
+      w.U32(static_cast<std::uint32_t>(m.reclaimed.size()));
+      for (const JobId id : m.reclaimed) w.U64(id.value());
+      break;
+  }
+  wal_->Append(static_cast<std::uint16_t>(m.kind), wal_payload_);
+}
+
+bool ShardLoop::DecodeMutation(const persist::WalRecord& record,
+                               ShardMutation& m) {
+  WireReader r(record.payload);
+  m.kind = static_cast<MutationKind>(record.type);
+  m.now = r.I64();
+  bool ok = false;
+  switch (m.kind) {
+    case MutationKind::kSubmit:
+      ok = record.payload.size() >= 8 &&
+           DecodeJobSpec(std::vector<std::uint8_t>(record.payload.begin() + 8,
+                                                   record.payload.end()),
+                         m.spec);
+      m.job = m.spec.id;
+      break;
+    case MutationKind::kJobOp:
+      m.opcode = r.U16();
+      m.job = JobId(static_cast<JobId::ValueType>(r.U64()));
+      ok = r.exhausted();
+      break;
+    case MutationKind::kMachineOp:
+      m.opcode = r.U16();
+      m.pool = PoolId(r.U32());
+      m.machine = MachineId(r.U32());
+      ok = r.exhausted();
+      break;
+    case MutationKind::kTimer:
+      m.timer = static_cast<TimerKind>(r.U16());
+      m.job = JobId(static_cast<JobId::ValueType>(r.U64()));
+      m.stamp = r.U64();
+      m.pool = PoolId(r.U32());
+      ok = r.exhausted();
+      break;
+    case MutationKind::kDrain:
+      ok = r.ok();
+      break;
+    case MutationKind::kReclaim: {
+      const std::uint32_t count = r.U32();
+      for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+        m.reclaimed.emplace_back(static_cast<JobId::ValueType>(r.U64()));
+      }
+      ok = r.exhausted();
+      break;
+    }
     default:
       NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": unknown record type "
                           << record.type;
+      return false;
   }
+  if (!ok) {
+    NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": malformed record type "
+                        << record.type;
+  }
+  return ok;
 }
+
+bool ShardLoop::Reclaim(JobId id) {
+  if (!core_.jobs().Contains(id) || !IsTerminal(core_.jobs().at(id).state())) {
+    return false;
+  }
+  directory_->EraseIfOwner(id, options_.shard_index);
+  core_.jobs().Erase(id);
+  return true;
+}
+
+// --- recovery & checkpoints -------------------------------------------------
 
 void ShardLoop::RecoverFromDisk() {
   const std::uint64_t start_ns = WallNanos();
@@ -1177,14 +1073,7 @@ void ShardLoop::RecoverFromDisk() {
   // Fast-forward the tick clock past every persisted stamp before touching
   // the core: elapsed-time settlements inside it require time to only move
   // forward, and replay feeds it pre-crash stamps.
-  struct RearmedTimer {
-    std::uint16_t kind;
-    JobId job;
-    std::uint64_t stamp;
-    PoolId pool;
-    Ticks rel_due;
-  };
-  std::vector<RearmedTimer> rearm;
+  std::vector<Timer> rearm;  // `due` relative to the checkpoint until import
   std::vector<std::uint8_t> core_payload;
   bool restore_draining = false;
   if (plan.snapshot.has_value()) {
@@ -1200,12 +1089,12 @@ void ShardLoop::RecoverFromDisk() {
     NETBATCH_CHECK(r.ok(), "snapshot wrapper truncated");
     rearm.reserve(timer_count);
     for (std::uint32_t i = 0; i < timer_count; ++i) {
-      RearmedTimer t;
-      t.kind = r.U16();
+      Timer t;
+      t.kind = static_cast<TimerKind>(r.U16());
       t.job = JobId(static_cast<JobId::ValueType>(r.U64()));
       t.stamp = r.U64();
       t.pool = PoolId(r.U32());
-      t.rel_due = r.I64();
+      t.due = r.I64();
       rearm.push_back(t);
     }
     const std::uint32_t core_len = r.U32();
@@ -1213,8 +1102,14 @@ void ShardLoop::RecoverFromDisk() {
     r.Bytes(core_len, core_payload);
     NETBATCH_CHECK(r.exhausted(), "snapshot wrapper has trailing bytes");
   }
-  for (const persist::WalRecord& record : plan.tail) {
-    tick_offset_ = std::max(tick_offset_, WalRecordNow(record));
+  // Each record's stamp is taken just before it is appended, from a clock
+  // that recovery always resumes past the newest persisted stamp, so the
+  // log's stamps never decrease and its last record carries the newest.
+  if (!plan.tail.empty()) {
+    ShardMutation last;
+    if (DecodeMutation(plan.tail.back(), last)) {
+      tick_offset_ = std::max(tick_offset_, last.now);
+    }
   }
 
   if (plan.snapshot.has_value()) {
@@ -1226,21 +1121,40 @@ void ShardLoop::RecoverFromDisk() {
       draining_->store(true, std::memory_order_release);
     }
     const Ticks now = NowTicks();
-    for (const RearmedTimer& t : rearm) {
+    for (Timer& t : rearm) {
       if (!core_.jobs().Contains(t.job)) continue;
-      Timer timer;
-      timer.due = now + t.rel_due;
-      timer.seq = next_timer_seq_++;
-      timer.kind = static_cast<TimerKind>(t.kind);
-      timer.job = t.job;
-      timer.stamp = t.stamp;
-      timer.pool = t.pool;
-      timers_.push_back(timer);
+      t.due += now;
+      t.seq = next_timer_seq_++;
+      timers_.push_back(t);
       std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
     }
   }
 
-  for (const persist::WalRecord& record : plan.tail) ApplyWalRecord(record);
+  for (const persist::WalRecord& record : plan.tail) {
+    ShardMutation m;
+    if (!DecodeMutation(record, m)) continue;
+    // A no-op on any log this daemon writes (see above); it only keeps the
+    // core's clock monotonic should a log ever break that order.
+    tick_offset_ = std::max(tick_offset_, m.now);
+    // Only mutations that applied were logged, so anything else means the
+    // replayed state has drifted from the live run's.
+    const Status status = Apply(m);
+    if (status != Status::kOk) {
+      NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": record type "
+                          << record.type << " did not apply (status "
+                          << static_cast<std::uint32_t>(status) << ")";
+    }
+  }
+  // Live, a waiting job has one wait-timeout pending: the timer that fired
+  // is popped before OnWaitTimeout re-arms it with the same stamp. Replay
+  // re-arms one for every logged firing without popping the one before, so
+  // keep one per (job, stamp) — or each restart multiplies them.
+  std::set<std::pair<JobId::ValueType, std::uint64_t>> waiting;
+  std::erase_if(timers_, [&waiting](const Timer& t) {
+    return t.kind == TimerKind::kWaitTimeout &&
+           !waiting.emplace(t.job.value(), t.stamp).second;
+  });
+  std::make_heap(timers_.begin(), timers_.end(), TimerLater{});
 
   // Re-register the surviving jobs in the shared directory (each shard
   // recovers its own; the directory stripes its locks, so concurrent
@@ -1335,42 +1249,6 @@ void ShardLoop::DoLocalCheckpoint() {
   wal_bytes_gauge_->Set(static_cast<std::int64_t>(wal_->bytes_appended()));
   wal_records_gauge_->Set(
       static_cast<std::int64_t>(wal_->records_appended()));
-}
-
-void ShardLoop::StartCheckpointFanout(std::uint64_t token,
-                                      const FrameHeader& header,
-                                      std::vector<std::uint8_t>* out) {
-  DoLocalCheckpoint();
-  if (options_.shard_count == 1) {
-    RespondStatus(options_.shard_index, token, header, Status::kOk, out);
-    return;
-  }
-  const std::uint64_t gid = next_gather_id_++;
-  CheckpointGather& g = checkpoint_gathers_[gid];
-  g.token = token;
-  g.request_id = header.request_id;
-  g.opcode = header.opcode;
-  g.remaining = options_.shard_count - 1;
-  for (std::uint32_t s = 0; s < options_.shard_count; ++s) {
-    if (s == options_.shard_index) continue;
-    ShardMessage query;
-    query.kind = ShardMessage::Kind::kCheckpointQuery;
-    query.sender = options_.shard_index;
-    query.gather = gid;
-    peers_[s]->Post(std::move(query));
-  }
-}
-
-void ShardLoop::FinishCheckpointGather(std::uint64_t gather_id) {
-  const auto it = checkpoint_gathers_.find(gather_id);
-  CheckpointGather& g = it->second;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.U32(static_cast<std::uint32_t>(Status::kOk));
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(g.opcode | kResponseBit, g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
-  checkpoint_gathers_.erase(it);
 }
 
 }  // namespace netbatch::service

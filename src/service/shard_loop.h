@@ -13,10 +13,16 @@
 //   - the acceptor posts new connections (kNewSession);
 //   - peers forward protocol frames whose target pool or job lives here
 //     (kFrame) and post back the encoded responses (kResponse);
-//   - kSnapshot / kStats scatter a query to every peer (kSnapshotQuery /
-//     kStatsQuery) and gather the per-shard contributions on the session's
-//     shard, which merges and responds (LatencyHistogram::Merge is
-//     lossless, counters sum by name).
+//   - kStats / kSnapshot / kCheckpoint / kDrain scatter one kQuery to every
+//     peer and gather the kReply contributions on the session's shard, which
+//     merges and responds (LatencyHistogram::Merge is lossless, counters sum
+//     by name). A gather with no peers completes at once.
+//
+// Every state change goes through one ShardMutation and one Apply(): live
+// handlers build the mutation, apply it, and log it to the WAL when it
+// changed the core; recovery decodes each WAL record back into the same
+// value and applies it. Live and replayed decisions cannot drift apart
+// because there is only one copy of the code that makes them.
 //
 // Epoll tokens are generation-stamped ((gen << 32) | fd): a token whose
 // generation no longer matches the session registered under that fd is a
@@ -31,6 +37,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,23 +62,28 @@ namespace netbatch::service {
 // Monotonic wall clock in nanoseconds (steady_clock).
 std::uint64_t WallNanos();
 
+// Test seam: when set, every shard with a data dir calls `hook(shard)` on
+// its own thread just before it recovers, so a test can hold one shard's
+// recovery back. Set it only while no daemon is running.
+void SetRecoveryHookForTesting(std::function<void(std::uint32_t)> hook);
+
 // A cross-shard message. One struct with a kind tag rather than a variant:
 // only kFrame/kResponse are frequent, and those use only the cheap fields.
 struct ShardMessage {
   enum class Kind : std::uint8_t {
-    kNewSession,     // fd (acceptor -> shard; fd < 0 is a stop nudge)
-    kFrame,          // sender(origin shard), token, frame, arrival_ns
-    kResponse,       // token, bytes (handler -> origin shard)
-    kStatsQuery,       // sender(origin), gather
-    kStatsReply,       // gather, counters, latency
-    kSnapshotQuery,    // sender(origin), gather
-    kSnapshotReply,    // gather, snapshot (pool ids already global)
-    kCheckpointQuery,  // sender(origin), gather — force a durable snapshot
-    kCheckpointReply,  // gather
+    kNewSession,  // fd (acceptor -> shard; fd < 0 is a stop nudge)
+    kFrame,       // sender(origin shard), token, frame, arrival_ns
+    kResponse,    // token, bytes (handler -> origin shard)
+    kQuery,       // sender(origin), gather, opcode
+    kReply,       // gather, opcode's contribution: counters + latency
+                  // (kStats), snapshot with global pool ids (kSnapshot),
+                  // nothing once the local checkpoint is durable
+                  // (kCheckpoint, kDrain)
   };
   Kind kind = Kind::kNewSession;
   std::uint32_t sender = 0;  // shard index the reply/response goes back to
   int fd = -1;
+  std::uint16_t opcode = 0;      // the gathered request's protocol opcode
   std::uint64_t token = 0;       // origin shard's session token
   std::uint64_t gather = 0;      // scatter-gather correlation id
   std::uint64_t arrival_ns = 0;  // submit-frame arrival (latency accounting)
@@ -128,7 +141,9 @@ class ShardLoop final : private sched::CoreHost,
     clock_origin_ns_ = origin_ns;
   }
 
-  void Start();
+  // Starts the loop thread. The shard recovers from its data dir first,
+  // then counts `recovered` down before it serves anything.
+  void Start(std::latch& recovered);
   void RequestStop();
   void Join();
 
@@ -167,28 +182,49 @@ class ShardLoop final : private sched::CoreHost,
     }
   };
 
-  // In-flight scatter-gather state for kStats / kSnapshot, keyed by gather
-  // id on the session's shard.
-  struct StatsGather {
+  // One WAL record kind per mutation kind; the values are the on-disk
+  // record types. Every payload leads with the I64 tick the mutation was
+  // applied at (the layouts live in ShardLoop::Log and DecodeMutation).
+  enum class MutationKind : std::uint16_t {
+    kSubmit = 1,     // JobSpec (candidate pools already shard-local)
+    kJobOp = 2,      // u16 opcode, u64 job id — logged only if it mutated
+    kMachineOp = 3,  // u16 opcode, u32 local pool, u32 machine
+    kTimer = 4,      // u16 timer kind, u64 job, u64 stamp, u32 local pool
+    kDrain = 5,      // nothing more
+    // u32 count, count * u64 job id. Reclamation reuses job-table slots
+    // (with a generation floor), so WHEN a terminal job left the table is
+    // as much a part of the decision sequence as the ops themselves:
+    // replay must erase the same ids at the same point or later submits
+    // land in different slots/generations than the live run (and an acked
+    // re-submit of a reclaimed id would bounce off its predecessor).
+    kReclaim = 6,
+  };
+  // One state change of this shard: what a live handler applies and logs,
+  // and what recovery decodes from the WAL and applies again. Fields a
+  // kind does not use keep their defaults.
+  struct ShardMutation {
+    MutationKind kind = MutationKind::kSubmit;
+    Ticks now = 0;
+    std::uint16_t opcode = 0;  // kJobOp / kMachineOp: the protocol opcode
+    TimerKind timer = TimerKind::kCompletion;  // kTimer
+    JobId job{};                 // kSubmit, kJobOp, kTimer
+    std::uint64_t stamp = 0;     // kTimer
+    PoolId pool{};               // kMachineOp, kTimer (delivery target); local
+    MachineId machine{};         // kMachineOp
+    workload::JobSpec spec{};    // kSubmit
+    std::vector<JobId> reclaimed{};  // kReclaim
+  };
+
+  // In-flight scatter-gather for kStats / kSnapshot / kCheckpoint / kDrain,
+  // keyed by gather id on the session's shard. `remaining` counts every
+  // shard's contribution, this one's included.
+  struct Gather {
     std::uint64_t token = 0;
-    std::uint64_t request_id = 0;
+    FrameHeader request;
     std::uint32_t remaining = 0;
     CounterSnapshot counters;
     LatencyHistogram latency;
-  };
-  struct SnapshotGather {
-    std::uint64_t token = 0;
-    std::uint64_t request_id = 0;
-    std::uint32_t remaining = 0;
-    sched::SchedulerCore::Snapshot merged;
-  };
-  // kCheckpoint / kDrain wait for every shard's snapshot to be durable
-  // before acking; `opcode` is echoed so both ops share the machinery.
-  struct CheckpointGather {
-    std::uint64_t token = 0;
-    std::uint64_t request_id = 0;
-    std::uint16_t opcode = 0;
-    std::uint32_t remaining = 0;
+    sched::SchedulerCore::Snapshot snapshot;
   };
 
   // --- pool id translation (interleaved sharding) ---------------------------
@@ -229,7 +265,7 @@ class ShardLoop final : private sched::CoreHost,
   void DrainDueTimers();
   int NextTimerDelayMs() const;
 
-  void Run();
+  void Run(std::latch& recovered);
   void DrainMailbox();
   void DrainReclaim();
   void HandleMessage(ShardMessage& msg);
@@ -237,6 +273,9 @@ class ShardLoop final : private sched::CoreHost,
   void DropSession(int fd);
   bool HandleReadable(SessionState& state, std::uint64_t token);
   void RearmSession(SessionState& state);
+  // The live session `token` names; null once it is gone (its fd may
+  // already belong to a newer connection — the generation tells them apart).
+  SessionState* FindSession(std::uint64_t token);
   // Queues `bytes` on the session identified by `token` (no-op if the
   // session is gone; drops it on overflow) and marks it for FlushRound().
   void WriteToSession(std::uint64_t token, const std::uint8_t* bytes,
@@ -252,8 +291,11 @@ class ShardLoop final : private sched::CoreHost,
   void ProcessFrame(std::uint32_t origin, std::uint64_t token,
                     const Frame& frame, std::uint64_t arrival_ns,
                     std::vector<std::uint8_t>* out);
+  // Answers `request` with `payload`: into `out` when given, else onto the
+  // session — or, for a frame forwarded here, back to the origin shard.
   void Respond(std::uint32_t origin, std::uint64_t token,
-               std::vector<std::uint8_t>&& bytes,
+               const FrameHeader& request,
+               const std::vector<std::uint8_t>& payload,
                std::vector<std::uint8_t>* out);
   void RespondStatus(std::uint32_t origin, std::uint64_t token,
                      const FrameHeader& header, Status status,
@@ -269,15 +311,40 @@ class ShardLoop final : private sched::CoreHost,
                    const Frame& frame, std::vector<std::uint8_t>* out);
   void HandleMachineOp(std::uint32_t origin, std::uint64_t token,
                        const Frame& frame, std::vector<std::uint8_t>* out);
-  void HandleStats(std::uint64_t token, const Frame& frame,
-                   std::vector<std::uint8_t>* out);
-  void HandleSnapshot(std::uint64_t token, const Frame& frame,
-                      std::vector<std::uint8_t>* out);
 
+  // --- the one apply path ---------------------------------------------------
+  // Makes the core call `m` describes; live serving and WAL replay both come
+  // through here. Returns kOk when the core changed — the only mutations
+  // that are logged. Consumes m.spec (the core keeps it) and leaves
+  // m.reclaimed holding just the ids it erased. `arrival_ns` is the live
+  // submit's frame arrival, recorded for the placement-latency measurement
+  // between admission and placement; replay passes 0.
+  Status Apply(ShardMutation& m, std::uint64_t arrival_ns = 0);
+  // Live handlers: Apply, then Log when a WAL is open and the core changed.
+  // Without a data dir nothing is encoded.
+  Status Commit(ShardMutation& m, std::uint64_t arrival_ns = 0);
+  // Appends `m` as one WAL record (a long kReclaim as several).
+  void Log(const ShardMutation& m);
+  // The inverse of Log for one record; false (with a warning) when the
+  // record is malformed or of an unknown type.
+  static bool DecodeMutation(const persist::WalRecord& record,
+                             ShardMutation& m);
+  // Erases a terminal job from the table and the directory; false when the
+  // id is absent or the job is still live.
+  bool Reclaim(JobId id);
+
+  // --- scatter-gather ---------------------------------------------------------
+  // Queries every peer, folds in this shard's own contribution, and answers
+  // once all have arrived: at once (through `out`, keeping pipelined
+  // responses in request order) when there are no peers.
+  void StartGather(std::uint64_t token, const FrameHeader& header,
+                   std::vector<std::uint8_t>* out);
+  // This shard's part of a gather for `opcode`, as a kReply.
+  ShardMessage Contribute(std::uint16_t opcode, std::uint64_t gather_id);
+  void AddToGather(const ShardMessage& part, std::vector<std::uint8_t>* out);
+  void FinishGather(Gather& g, std::vector<std::uint8_t>* out);
   // This shard's snapshot with pool ids translated to global.
   sched::SchedulerCore::Snapshot LocalSnapshot();
-  void FinishStatsGather(std::uint64_t gather_id);
-  void FinishSnapshotGather(std::uint64_t gather_id);
 
   // --- durability (active only when options_.data_dir is set) ---------------
   // Rebuilds this shard's state from the newest valid snapshot plus the WAL
@@ -286,22 +353,16 @@ class ShardLoop final : private sched::CoreHost,
   // before the first poll.
   void RecoverFromDisk();
   void ValidateShardMeta();
-  void ApplyWalRecord(const persist::WalRecord& record);
-  // Buffers wal_payload_ as one record; FlushWal() moves the batch into
-  // the kernel. Every path that lets an ack escape this shard (a session
-  // write or a response posted to a peer) flushes first, so an acked
-  // mutation is always at least in the page cache when the client sees
-  // the ack — that is the whole crash-safety argument.
-  void AppendWal(std::uint16_t type);
+  // Moves the batch Log() buffered into the kernel. Every path that lets an
+  // ack escape this shard (a session write or a response posted to a peer)
+  // flushes first, so an acked mutation is always at least in the page
+  // cache when the client sees the ack — that is the whole crash-safety
+  // argument.
   void FlushWal();
   // Syncs the WAL, writes a snapshot at last_lsn, then truncates the log
   // and deletes superseded snapshots. Callable at any point between core
   // operations — terminal-but-unreclaimed jobs serialize fine.
   void DoLocalCheckpoint();
-  // Checkpoints locally, then every peer; responds kOk when all are durable.
-  void StartCheckpointFanout(std::uint64_t token, const FrameHeader& header,
-                             std::vector<std::uint8_t>* out);
-  void FinishCheckpointGather(std::uint64_t gather_id);
 
   ShardOptions options_;
   sched::SchedulerCore core_;
@@ -339,14 +400,9 @@ class ShardLoop final : private sched::CoreHost,
   LatencyHistogram placement_latency_;
 
   std::vector<JobId> reclaim_queue_;
-  // Ids DrainReclaim actually erased this round, reused across rounds; they
-  // become the round's kReclaim WAL record(s) so replay reclaims in step.
-  std::vector<JobId> reclaimed_ids_;
 
   std::uint64_t next_gather_id_ = 1;
-  std::unordered_map<std::uint64_t, StatsGather> stats_gathers_;
-  std::unordered_map<std::uint64_t, SnapshotGather> snapshot_gathers_;
-  std::unordered_map<std::uint64_t, CheckpointGather> checkpoint_gathers_;
+  std::unordered_map<std::uint64_t, Gather> gathers_;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

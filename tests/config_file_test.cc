@@ -1,9 +1,15 @@
 // Tests for the INI-style experiment config loader.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "runner/config_file.h"
+#include "runner/scenarios.h"
 
 namespace netbatch::runner {
 namespace {
@@ -88,6 +94,32 @@ TEST(ConfigFileTest, MalformedValueAborts) {
 
 TEST(ConfigFileTest, UnknownScenarioAborts) {
   EXPECT_DEATH(Load("[experiment]\nscenario = mega\n"), "unknown scenario");
+}
+
+// `scenario = fitted.ini` in sub/exp.ini names the preset beside the INI,
+// whatever directory the INI is loaded from.
+TEST(ConfigFileTest, RelativePresetPathResolvesAgainstTheIniDirectory) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(testing::TempDir()) /
+                        ("nb_cfg_rel_" + std::to_string(::getpid()));
+  const fs::path sub = root / "sub";
+  fs::create_directories(sub);
+  const workload::GeneratorConfig preset = NormalLoadScenario(0.05).workload;
+  WriteWorkloadPresetFile((sub / "fitted.ini").string(), preset);
+  {
+    std::ofstream ini(sub / "exp.ini");
+    ini << "[experiment]\nscenario = fitted.ini\nscale = 0.05\nseed = 9\n";
+  }
+  // The working directory is not `sub`: only the INI's directory has it.
+  ASSERT_FALSE(fs::exists("fitted.ini"));
+
+  const LoadedExperiment loaded =
+      LoadExperimentFile((sub / "exp.ini").string());
+  EXPECT_EQ(loaded.spec.scenario_name, (sub / "fitted.ini").string());
+  EXPECT_EQ(loaded.spec.scenario.workload.seed, 9u);
+  EXPECT_EQ(loaded.spec.scenario.workload.num_pools, preset.num_pools);
+  EXPECT_EQ(loaded.spec.scenario.cluster.pools.size(), preset.num_pools);
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -16,12 +16,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +335,11 @@ class Client {
             const std::vector<std::uint8_t>& payload) {
     std::vector<std::uint8_t> wire;
     EncodeFrame(static_cast<std::uint16_t>(opcode), request_id, payload, wire);
+    return SendBytes(wire);
+  }
+
+  // Sends already-encoded frames in one write.
+  bool SendBytes(const std::vector<std::uint8_t>& wire) {
     std::size_t off = 0;
     while (off < wire.size()) {
       const ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
@@ -751,6 +759,69 @@ TEST(DaemonTest, ForwardedFramesCountExactlyOnceInMergedStats) {
   EXPECT_EQ(value(two, "jobs.killed"), 1);
 }
 
+// At --threads=1 a gather has no peers and finishes in the batch that
+// started it, so pipelined responses leave in request order. The merged
+// kStats text keeps the layout perfbench/pbstats.py parses: `name=value`
+// per counter, `name=value (max=M)` per gauge, then one
+// `placement_latency_ns{count=..,p50=..,p99=..,p999=..,max=..}` line.
+TEST(DaemonTest, PipelinedResponsesKeepRequestOrderAtOneThread) {
+  const std::string path = TestSocketPath("pipeline");
+  RunningDaemon daemon(SmallCluster(1, 1, 4), UnixOptions(path));
+  Client client(net::ConnectUnix(path));
+  ASSERT_TRUE(client.connected());
+
+  const std::vector<Opcode> sent = {Opcode::kSubmit, Opcode::kStats,
+                                    Opcode::kSubmit, Opcode::kSnapshot,
+                                    Opcode::kSubmit};
+  std::vector<std::uint8_t> wire;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    std::vector<std::uint8_t> payload;
+    if (sent[i] == Opcode::kSubmit) EncodeJobSpec(MakeSpec(i + 1, {}), payload);
+    EncodeFrame(static_cast<std::uint16_t>(sent[i]), i + 1, payload, wire);
+  }
+  ASSERT_TRUE(client.SendBytes(wire));
+
+  std::string stats;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    Frame frame;
+    ASSERT_TRUE(client.Recv(frame));
+    EXPECT_EQ(frame.header.request_id, i + 1);
+    EXPECT_EQ(frame.header.opcode,
+              static_cast<std::uint16_t>(sent[i]) | kResponseBit);
+    if (sent[i] == Opcode::kStats) {
+      stats.assign(frame.payload.begin(), frame.payload.end());
+    }
+  }
+
+  const std::regex counter(R"(^[\w.]+=\d+$)");
+  const std::regex gauge(R"(^[\w.]+=-?\d+ \(max=-?\d+\)$)");
+  const std::regex latency(
+      R"(^placement_latency_ns\{count=\d+,p50=\d+,p99=\d+,p999=\d+,max=\d+\}$)");
+  std::istringstream lines(stats);
+  std::string line;
+  std::vector<std::string> rendered;
+  while (std::getline(lines, line)) rendered.push_back(line);
+  ASSERT_GE(rendered.size(), 3u);
+  EXPECT_TRUE(std::regex_match(rendered.back(), latency)) << rendered.back();
+  int counters = 0;
+  int gauges = 0;
+  for (std::size_t i = 0; i + 1 < rendered.size(); ++i) {
+    if (std::regex_match(rendered[i], counter)) {
+      ++counters;
+    } else if (std::regex_match(rendered[i], gauge)) {
+      ++gauges;
+    } else {
+      ADD_FAILURE() << "unparseable kStats line: " << rendered[i];
+    }
+  }
+  EXPECT_GT(counters, 0);
+  EXPECT_GT(gauges, 0);
+  // Only the first submit preceded the kStats request.
+  EXPECT_NE(std::find(rendered.begin(), rendered.end(), "jobs.submitted=1"),
+            rendered.end())
+      << stats;
+}
+
 TEST(DaemonTest, TcpTransportServesTheSameProtocol) {
   DaemonOptions options;
   options.tcp = true;
@@ -792,6 +863,22 @@ TEST(DaemonTest, MachineOutageDrillFailsAndRepairsLive) {
             Status::kBadRequest);
   EXPECT_EQ(client.MachineOp(Opcode::kFailMachine, 6, 9, 0),
             Status::kBadRequest);
+}
+
+TEST(DaemonTest, RedundantMachineOpsAreRefusedNotFatal) {
+  const std::string path = TestSocketPath("redundant");
+  RunningDaemon daemon(SmallCluster(1, 1, 1), UnixOptions(path));
+  Client client(net::ConnectUnix(path));
+  ASSERT_TRUE(client.connected());
+  // Repairing a live machine and failing a down one change nothing; they
+  // used to abort the daemon.
+  EXPECT_EQ(client.MachineOp(Opcode::kRepairMachine, 1, 0, 0),
+            Status::kBadState);
+  EXPECT_EQ(client.MachineOp(Opcode::kFailMachine, 2, 0, 0), Status::kOk);
+  EXPECT_EQ(client.MachineOp(Opcode::kFailMachine, 3, 0, 0),
+            Status::kBadState);
+  EXPECT_EQ(client.MachineOp(Opcode::kRepairMachine, 4, 0, 0), Status::kOk);
+  EXPECT_NE(client.Stats(5).find("outages.failures=1\n"), std::string::npos);
 }
 
 TEST(DaemonTest, DrainRefusesNewWorkButKeepsServingSessions) {

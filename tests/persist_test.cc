@@ -9,6 +9,7 @@
 // job ids.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,9 +19,12 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -502,8 +506,11 @@ ShardStackFactory TestStacks() {
 // and the last (possibly absent) checkpoint hold, nothing more.
 class RunningDaemon {
  public:
-  RunningDaemon(const cluster::ClusterConfig& config, DaemonOptions options)
-      : daemon_(config, TestStacks(), std::move(options)) {
+  RunningDaemon(const cluster::ClusterConfig& config, DaemonOptions options,
+                ShardStackFactory stacks = TestStacks(),
+                sched::CoreOptions core_options = {})
+      : daemon_(config, std::move(stacks), std::move(options),
+                std::move(core_options)) {
     thread_ = std::thread([this] { daemon_.Run(stop_); });
   }
   ~RunningDaemon() {
@@ -566,6 +573,13 @@ class Client {
       off += static_cast<std::size_t>(n);
     }
     return true;
+  }
+
+  // True when a response arrives (or the peer closes) within `timeout_ms`.
+  bool ReadableWithin(int timeout_ms) {
+    if (!pending_.empty()) return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, timeout_ms) > 0;
   }
 
   bool Recv(Frame& out) {
@@ -791,6 +805,319 @@ TEST(DaemonPersistTest, CrashRestartRecoversAckedStateSingleShard) {
 
 TEST(DaemonPersistTest, CrashRestartRecoversAckedStateFourShards) {
   RunCrashRestartDrill(4, 4, "crash4");
+}
+
+// Polls kQueryJob for `id` until `done` holds for the answer; false after
+// ten seconds.
+template <typename Pred>
+bool AwaitJob(Client& client, std::uint64_t& rid, std::uint64_t id,
+              Pred done) {
+  for (int i = 0; i < 1000; ++i) {
+    if (done(client.JobOp(Opcode::kQueryJob, rid++, id))) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+// The (record type, opcode or timer kind) pairs in a shard's WAL tail.
+std::set<std::pair<std::uint16_t, std::uint16_t>> WalRecordKinds(
+    const std::string& shard_dir) {
+  std::set<std::pair<std::uint16_t, std::uint16_t>> kinds;
+  for (const persist::WalRecord& record :
+       persist::BuildRecoveryPlan(shard_dir).tail) {
+    WireReader r(record.payload);
+    r.I64();  // the stamp every record leads with
+    const bool has_sub = record.type >= 2 && record.type <= 4;
+    kinds.emplace(record.type, has_sub ? r.U16() : 0);
+  }
+  return kinds;
+}
+
+// Every WAL record kind crosses replay with no checkpoint: submit; the job
+// ops complete, suspend, resume and kill; machine fail and repair; fired
+// completion, wait-timeout and restart-delivery timers; reclaim — and a
+// drain. The scenario runs on one shard's two pools (the last shard, so
+// with several shards every request is forwarded): a job queues behind a
+// full pool while the other's only machine is down, the machine is
+// repaired, the wait timeout moves the job there, and the move is
+// delivered after a transfer overhead.
+void RunEveryRecordKindDrill(std::uint32_t threads, const std::string& name) {
+  TempDir data(name + "_data");
+  const std::string path = TestSocketPath(name);
+  const cluster::ClusterConfig config = SmallCluster(2 * threads, 1, 2);
+  DaemonOptions options = PersistOptions(path, data.path());
+  options.threads = threads;
+  options.auto_complete = true;  // completion timers fire on their own
+  sched::CoreOptions core_options;
+  core_options.restart_overhead = 200;  // ticks: 0.2 s at time_scale 1000
+  const ShardStackFactory stacks = [](std::uint32_t shard) {
+    ShardStack stack;
+    stack.scheduler = std::make_unique<sched::RoundRobinScheduler>();
+    core::PolicyOptions policy;
+    policy.seed = 42 + shard;
+    policy.wait_threshold = 300;  // ticks
+    stack.policy = core::MakePolicy(core::PolicyKind::kResSusWaitUtil, policy);
+    return stack;
+  };
+  const std::uint32_t a = threads - 1;  // both pools live on shard a
+  const std::uint32_t b = a + threads;
+  const std::string shard_dir = data.path() + "/shard-" + std::to_string(a);
+  const auto running_in = [](std::uint32_t pool) {
+    return [pool](const Client::JobOpResult& r) {
+      return r.status == Status::kOk &&
+             r.state ==
+                 static_cast<std::uint32_t>(cluster::JobState::kRunning) &&
+             r.pool == pool;
+    };
+  };
+  const auto unknown = [](const Client::JobOpResult& r) {
+    return r.status == Status::kUnknownJob;
+  };
+
+  std::map<std::uint64_t, Client::JobOpResult> before;
+  std::vector<std::uint8_t> snapshot_before;
+  {
+    RunningDaemon daemon(config, options, stacks, core_options);
+    Client client(net::ConnectUnix(path));
+    ASSERT_TRUE(client.connected());
+    std::uint64_t rid = 1;
+    EXPECT_EQ(client.Submit(rid++, MakeSpec(1, {PoolId(a)}, 2)).status,
+              Status::kOk);
+    EXPECT_EQ(client.MachineOp(Opcode::kFailMachine, rid++, b, 0),
+              Status::kOk);
+    EXPECT_EQ(
+        client.Submit(rid++, MakeSpec(2, {PoolId(a), PoolId(b)})).status,
+        Status::kQueued);
+    EXPECT_EQ(client.MachineOp(Opcode::kRepairMachine, rid++, b, 0),
+              Status::kOk);
+    // Wait timeout, then the delivery: job 2 ends up running in pool b.
+    EXPECT_TRUE(AwaitJob(client, rid, 2, running_in(b)));
+    // A short job completes by its timer and is reclaimed.
+    EXPECT_EQ(
+        client.Submit(rid++, MakeSpec(3, {PoolId(b)}, 1, /*runtime=*/100))
+            .status,
+        Status::kOk);
+    EXPECT_TRUE(AwaitJob(client, rid, 3, unknown));
+    EXPECT_EQ(client.JobOp(Opcode::kSuspend, rid++, 1).status, Status::kOk);
+    EXPECT_EQ(client.JobOp(Opcode::kResume, rid++, 1).status, Status::kOk);
+    EXPECT_EQ(client.Submit(rid++, MakeSpec(4, {PoolId(b)})).status,
+              Status::kOk);
+    EXPECT_EQ(client.JobOp(Opcode::kKill, rid++, 4).status, Status::kOk);
+    EXPECT_TRUE(AwaitJob(client, rid, 4, unknown));
+    EXPECT_EQ(client.Submit(rid++, MakeSpec(5, {PoolId(b)})).status,
+              Status::kOk);
+    EXPECT_EQ(client.JobOp(Opcode::kComplete, rid++, 5).status, Status::kOk);
+    before = QueryAll(client, 5, rid);
+    snapshot_before = client.SnapshotBody(rid++);
+  }  // crash: no checkpoint was ever written — recovery is pure WAL replay
+
+  const std::set<std::pair<std::uint16_t, std::uint16_t>> want = {
+      {1, 0},                       // submit
+      {2, 2}, {2, 3}, {2, 4}, {2, 11},  // complete, suspend, resume, kill
+      {3, 8}, {3, 9},               // fail machine, repair machine
+      {4, 0}, {4, 1}, {4, 2},       // completion, wait-timeout, delivery
+      {6, 0},                       // reclaim
+  };
+  const auto kinds = WalRecordKinds(shard_dir);
+  for (const auto& kind : want) {
+    EXPECT_TRUE(kinds.count(kind) > 0)
+        << "no WAL record of type " << kind.first << "/" << kind.second;
+  }
+
+  {
+    RunningDaemon daemon(config, options, stacks, core_options);
+    Client client(net::ConnectUnix(path));
+    ASSERT_TRUE(client.connected());
+    std::uint64_t rid = 1000;
+    ExpectSameViews(before, QueryAll(client, 5, rid));
+    EXPECT_EQ(client.SnapshotBody(rid++), snapshot_before);
+  }
+
+  // A drain always checkpoints right after logging itself, so its record
+  // reaches replay only when the daemon dies in between. Leave the log as
+  // that crash would: a kDrain record (type 5: the stamp and nothing more)
+  // after everything else.
+  {
+    const persist::RecoveryPlan plan = persist::BuildRecoveryPlan(shard_dir);
+    ASSERT_FALSE(plan.tail.empty());
+    ASSERT_FALSE(plan.snapshot.has_value());
+    persist::WalOptions wal_options;
+    wal_options.next_lsn = plan.next_lsn;
+    std::string error;
+    auto wal = persist::WalWriter::Open(shard_dir, wal_options, &error);
+    ASSERT_NE(wal, nullptr) << error;
+    std::vector<std::uint8_t> payload;
+    WireWriter(payload).I64(WireReader(plan.tail.back().payload).I64());
+    wal->Append(5, payload);
+    wal->Sync();
+  }
+  // The replayed drain closes the listeners at once: the socket goes away.
+  RunningDaemon daemon(config, options, stacks, core_options);
+  bool closed = false;
+  for (int i = 0; i < 1000 && !closed; ++i) {
+    closed = !std::filesystem::exists(path);
+    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(closed) << "recovered daemon did not resume draining";
+}
+
+TEST(DaemonPersistTest, EveryRecordKindCrossesReplaySingleShard) {
+  RunEveryRecordKindDrill(1, "kinds1");
+}
+
+TEST(DaemonPersistTest, EveryRecordKindCrossesReplayFourShards) {
+  RunEveryRecordKindDrill(4, "kinds4");
+}
+
+// A waiting job's wait timeout re-arms itself with the same stamp each time
+// it fires, and every firing is logged. Replay must leave one timer pending,
+// as the live run had: one per logged firing would fire together after the
+// restart (and multiply again with each restart).
+TEST(DaemonPersistTest, ReplayedWaitTimeoutsDoNotMultiply) {
+  TempDir data("rearm_data");
+  const std::string path = TestSocketPath("rearm");
+  const cluster::ClusterConfig config = SmallCluster(1, 1, 2);
+  const DaemonOptions options = PersistOptions(path, data.path());
+  const ShardStackFactory stacks = [](std::uint32_t shard) {
+    ShardStack stack;
+    stack.scheduler = std::make_unique<sched::RoundRobinScheduler>();
+    core::PolicyOptions policy;
+    policy.seed = 42 + shard;
+    policy.wait_threshold = 50;  // ticks: every 50 ms at time_scale 1000
+    stack.policy = core::MakePolicy(core::PolicyKind::kResSusWaitUtil, policy);
+    return stack;
+  };
+  const std::string shard_dir = data.path() + "/shard-0";
+  {
+    RunningDaemon daemon(config, options, stacks);
+    Client client(net::ConnectUnix(path));
+    ASSERT_TRUE(client.connected());
+    EXPECT_EQ(client.Submit(1, MakeSpec(1, {PoolId(0)}, 2)).status,
+              Status::kOk);
+    // The only pool is full and there is nowhere else to go: job 2 waits,
+    // and its wait timeout keeps firing and re-arming.
+    EXPECT_EQ(client.Submit(2, MakeSpec(2, {PoolId(0)})).status,
+              Status::kQueued);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }  // crash
+  const std::size_t first_run = persist::BuildRecoveryPlan(shard_dir).tail.size();
+  ASSERT_GE(first_run, 4u);  // two submits and at least two firings
+  {
+    RunningDaemon daemon(config, options, stacks);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }  // crash again
+
+  // Each firing after the restart stands alone at its own tick.
+  const persist::RecoveryPlan plan = persist::BuildRecoveryPlan(shard_dir);
+  std::size_t firings = 0;
+  std::set<Ticks> ticks;
+  for (std::size_t i = first_run; i < plan.tail.size(); ++i) {
+    const persist::WalRecord& record = plan.tail[i];
+    WireReader r(record.payload);
+    const Ticks now = r.I64();
+    if (record.type != 4 || r.U16() != 1) continue;  // kTimer, kWaitTimeout
+    ++firings;
+    ticks.insert(now);
+  }
+  EXPECT_GE(firings, 1u);
+  EXPECT_EQ(firings, ticks.size())
+      << "wait timeouts fired in bunches after the restart";
+}
+
+// Holds one shard inside its recovery until Release(). Outlives the daemon
+// it is used with: the hook is cleared only once no shard can call it.
+class RecoveryBreakpoint {
+ public:
+  explicit RecoveryBreakpoint(std::uint32_t held) {
+    SetRecoveryHookForTesting(
+        [held, released = released_](std::uint32_t shard) {
+          if (shard == held) released.wait();
+        });
+  }
+  ~RecoveryBreakpoint() { SetRecoveryHookForTesting(nullptr); }
+
+  void Release() {
+    if (!done_) release_.set_value();
+    done_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  bool done_ = false;
+};
+
+// Recovery is a phase: while one shard is still replaying, the daemon must
+// answer nothing — not "unknown job" for that shard's jobs (they are not in
+// the directory yet), and not "admitted" for a resubmit of one of their ids
+// aimed at a shard that has recovered.
+TEST(DaemonPersistTest, NoRequestIsServedBeforeEveryShardRecovers) {
+  TempDir data("phase_data");
+  const std::string path = TestSocketPath("phase");
+  const cluster::ClusterConfig config = SmallCluster(4, 2, 4);
+  DaemonOptions options = PersistOptions(path, data.path());
+  options.threads = 4;
+  {
+    RunningDaemon daemon(config, options);
+    Client client(net::ConnectUnix(path));
+    ASSERT_TRUE(client.connected());
+    std::uint64_t rid = 1;
+    for (std::uint64_t id = 1; id <= 16; ++id) {
+      const SubmitResponse response = client.Submit(
+          rid++, MakeSpec(id, {PoolId(static_cast<std::uint32_t>(
+                              (id - 1) % 4))}));
+      EXPECT_TRUE(response.status == Status::kOk ||
+                  response.status == Status::kQueued)
+          << "job " << id;
+    }
+  }  // crash
+
+  // Shard 2 owns pool 2 and so jobs 3, 7, 11 and 15; hold its recovery.
+  RecoveryBreakpoint breakpoint(/*held=*/2);
+  RunningDaemon daemon(config, options);
+  struct ReleaseOnExit {  // never leave the daemon waiting on shard 2
+    RecoveryBreakpoint& breakpoint;
+    ~ReleaseOnExit() { breakpoint.Release(); }
+  } release_on_exit{breakpoint};
+
+  // The listener is bound, so the connection lands in its backlog; the
+  // first session is dealt to shard 0, which does not wait for shard 2.
+  Client client(net::ConnectUnix(path));
+  ASSERT_TRUE(client.connected());
+  const std::vector<std::uint64_t> held_jobs = {3, 7, 11, 15};
+  for (const std::uint64_t id : held_jobs) {
+    std::vector<std::uint8_t> payload;
+    WireWriter(payload).U64(id);
+    ASSERT_TRUE(client.Send(Opcode::kQueryJob, id, payload));
+  }
+  // A resubmit of recovered job 7, aimed at pool 0 (shard 0's).
+  std::vector<std::uint8_t> resubmit;
+  EncodeJobSpec(MakeSpec(7, {PoolId(0)}), resubmit);
+  ASSERT_TRUE(client.Send(Opcode::kSubmit, 100, resubmit));
+  // Anything served before shard 2 recovers would be answered by now.
+  EXPECT_FALSE(client.ReadableWithin(300))
+      << "a request was answered before every shard had recovered";
+  breakpoint.Release();
+
+  // Forwarded queries answer after the local submit: key by request id.
+  std::map<std::uint64_t, Frame> answers;
+  for (std::size_t i = 0; i <= held_jobs.size(); ++i) {
+    Frame frame;
+    ASSERT_TRUE(client.Recv(frame));
+    answers[frame.header.request_id] = std::move(frame);
+  }
+  for (const std::uint64_t id : held_jobs) {
+    ASSERT_EQ(answers.count(id), 1u) << "job " << id;
+    WireReader r(answers[id].payload);
+    EXPECT_EQ(static_cast<Status>(r.U32()), Status::kOk) << "job " << id;
+    r.U32();  // state
+    EXPECT_EQ(r.U32(), 2u) << "job " << id;  // pool
+  }
+  ASSERT_EQ(answers.count(100), 1u);
+  SubmitResponse response;
+  ASSERT_TRUE(DecodeSubmitResponse(answers[100].payload, response));
+  EXPECT_EQ(response.status, Status::kBadRequest)
+      << "a recovered job's id was admitted a second time";
 }
 
 TEST(DaemonPersistTest, CheckpointTruncatesWalAndRestartReplaysOnlyTheTail) {

@@ -1,7 +1,7 @@
 // netbatch_trace_tool — inspect and transform trace CSV files.
 //
 //   netbatch_trace_tool stats      --in=trace.csv [--histograms]
-//   netbatch_trace_tool window     --in=trace.csv --out=busy.csv \
+//   netbatch_trace_tool window     --in=trace.csv --out=busy.csv
 //                                  --begin-min=76000 --end-min=86080
 //   netbatch_trace_tool thin       --in=trace.csv --out=half.csv --keep=0.5
 //   netbatch_trace_tool scale-rt   --in=trace.csv --out=slow.csv --factor=2
